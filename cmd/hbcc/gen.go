@@ -74,7 +74,7 @@ func runGenerated(k *frontend.Kernel, src []byte, facts *analysis.Facts, workers
 	if hint := facts.LeafChunkHint(); hint > 1 {
 		fmt.Printf("cost model: initial chunk %d (from static iteration cost)\n", hint)
 	}
-	prog, err := core.Compile(nest, core.Options{TraceEvents: trace, InitialChunk: facts.LeafChunkHint()})
+	prog, err := core.Compile(nest, core.Options{InitialChunk: facts.LeafChunkHint()})
 	if err != nil {
 		fatal(err)
 	}
@@ -98,6 +98,8 @@ func runGenerated(k *frontend.Kernel, src []byte, facts *analysis.Facts, workers
 	team := sched.NewTeam(workers)
 	defer team.Close()
 	x := core.NewExec(prog, team, pulse.NewTimer(), heartbeat, env)
+	tr := newTracer(trace, team)
+	x.SetTracer(tr)
 	x.Start()
 	defer x.Stop()
 	hb := median(func() { x.Run() })
@@ -118,7 +120,5 @@ func runGenerated(k *frontend.Kernel, src []byte, facts *analysis.Facts, workers
 		}
 		fmt.Printf("checksum %s = %g (matches serial)\n", name, s)
 	}
-	if trace {
-		fmt.Print(core.FormatTimeline(x.Events(), time.Millisecond))
-	}
+	printTimeline(tr)
 }

@@ -43,6 +43,7 @@ import (
 	"hbc/internal/pulse"
 	"hbc/internal/sched"
 	"hbc/internal/stats"
+	"hbc/internal/telemetry"
 )
 
 func main() {
@@ -52,7 +53,7 @@ func main() {
 		runs      = flag.Int("runs", 3, "timed repetitions (median)")
 		emit      = flag.Bool("emit", false, "print the compiled loop nest and exit")
 		format    = flag.Bool("fmt", false, "print the canonically formatted kernel and exit")
-		trace     = flag.Bool("trace", false, "print the promotion timeline after the run")
+		trace     = flag.Bool("trace", false, "print the runtime event timeline (beats, promotions, retunes) after the run")
 		vet       = flag.Bool("vet", true, "statically verify DOALL safety before running")
 		checked   = flag.Bool("checked", false, "compile with runtime bounds guards, skipping accesses the analyzer proves safe")
 		emitGo    = flag.Bool("emit-go", false, "emit a specialized Go package for the kernel and exit")
@@ -121,8 +122,7 @@ func main() {
 		return
 	}
 
-	opts := core.Options{TraceEvents: *trace, InitialChunk: facts.LeafChunkHint()}
-	prog, err := core.Compile(c.Nest, opts)
+	prog, err := core.Compile(c.Nest, core.Options{InitialChunk: facts.LeafChunkHint()})
 	if err != nil {
 		fatal(err)
 	}
@@ -146,6 +146,8 @@ func main() {
 	team := sched.NewTeam(*workers)
 	defer team.Close()
 	x := core.NewExec(prog, team, pulse.NewTimer(), *heartbeat, c.Env)
+	tr := newTracer(*trace, team)
+	x.SetTracer(tr)
 	x.Start()
 	defer x.Stop()
 	hb := median(func() { x.Run() })
@@ -166,8 +168,23 @@ func main() {
 		}
 		fmt.Printf("checksum %s = %g (matches serial)\n", name, s)
 	}
-	if *trace {
-		fmt.Print(core.FormatTimeline(x.Events(), time.Millisecond))
+	printTimeline(tr)
+}
+
+// newTracer returns a tracer with one lane per worker when -trace is set,
+// and nil (tracing off) otherwise.
+func newTracer(on bool, team *sched.Team) *telemetry.Tracer {
+	if !on {
+		return nil
+	}
+	return telemetry.NewTracer(team.Size(), 0)
+}
+
+// printTimeline prints the tracer's per-millisecond event timeline; a nil
+// tracer prints nothing.
+func printTimeline(tr *telemetry.Tracer) {
+	if tr != nil {
+		fmt.Print(tr.Snapshot().Timeline(time.Millisecond))
 	}
 }
 

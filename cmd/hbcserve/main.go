@@ -44,7 +44,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"io/fs"
 	"net"
 	"net/http"
 	"os"
@@ -94,10 +93,16 @@ func main() {
 		fmt.Printf("hbcserve: loaded %d tuned polic(ies) from %s\n", len(f.Kernels), *policyF)
 	}
 
+	// Install the signal handler before anything can answer /readyz: a
+	// SIGTERM sent as soon as the server is ready must start a drain, not
+	// kill the process. Notify starts os/signal's permanent watcher
+	// goroutine, so the leak-check baseline captured next includes it.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+
 	// Goroutine baseline for the post-drain leak check, captured before any
-	// serving machinery exists. signal.Notify (below) starts one permanent
-	// watcher goroutine; account for it here.
-	baseline := runtime.NumGoroutine() + 1
+	// serving machinery exists.
+	baseline := runtime.NumGoroutine()
 
 	reg := telemetry.NewRegistry()
 	reg.Register("proc", func(emit func(string, float64)) {
@@ -171,8 +176,6 @@ func main() {
 	go func() { serveErr <- srv.Serve(ln) }()
 	fmt.Printf("hbcserve: serving on http://%s (POST /run/{kernel})\n", ln.Addr())
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case s := <-sig:
 		fmt.Printf("hbcserve: %v — draining\n", s)
@@ -375,32 +378,31 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-// loadKernels registers every loadable .hbk under dir, returning the names
-// loaded and the count skipped (parse/vet/compile failures are reported and
-// skipped, so a corpus may carry known-bad fixtures). Registration goes
-// through serve.KernelAuto, so kernels with a current generated artifact
+// loadKernels registers every loadable .hbk file directly inside dir —
+// subdirectories such as a known-bad fixture corpus are not searched —
+// returning the names loaded and the count skipped (parse/vet/compile
+// failures are reported and skipped). Registration goes through
+// serve.KernelAuto, so kernels with a current generated artifact
 // (gen/kernels) serve on the specialized backend automatically. When tuned
 // is non-nil, each kernel compiles with its persisted scheduling choice.
 func loadKernels(pool *serve.Pool, dir string, tuned *tunefile.File) (loaded []string, skipped int) {
-	seen := map[string]bool{}
-	_ = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".hbk") {
-			return err
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "hbcserve:", err)
+		return nil, 0
+	}
+	for _, d := range entries {
+		if d.IsDir() || !strings.HasSuffix(d.Name(), ".hbk") {
+			continue
 		}
-		name := strings.TrimSuffix(filepath.Base(path), ".hbk")
-		if seen[name] {
-			fmt.Fprintf(os.Stderr, "hbcserve: skipping %s: kernel %q already loaded\n", path, name)
+		path := filepath.Join(dir, d.Name())
+		name := strings.TrimSuffix(d.Name(), ".hbk")
+		if err := pool.Register(name, serve.KernelAuto(path, serve.WithTunedPolicies(tuned))); err != nil {
+			fmt.Fprintf(os.Stderr, "hbcserve: skipping %s: %v\n", path, err)
 			skipped++
-			return nil
-		}
-		seen[name] = true
-		if regErr := pool.Register(name, serve.KernelAuto(path, serve.WithTunedPolicies(tuned))); regErr != nil {
-			fmt.Fprintf(os.Stderr, "hbcserve: skipping %s: %v\n", path, regErr)
-			skipped++
-			return nil
+			continue
 		}
 		loaded = append(loaded, name)
-		return nil
-	})
+	}
 	return loaded, skipped
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -202,6 +204,32 @@ func TestIdempotencyHeaderPassthrough(t *testing.T) {
 	}
 	if _, d := post(""); d {
 		t.Fatal("keyless request reported deduped")
+	}
+}
+
+// TestLoadKernelsSkipsSubdirectories pins the flat -kernels contract: only
+// .hbk files directly inside the directory are served, so a fixture corpus
+// in a subdirectory (kernels/bad) is never loaded, even when its kernels
+// compile.
+func TestLoadKernelsSkipsSubdirectories(t *testing.T) {
+	dir := t.TempDir()
+	kernel := func(name string) []byte {
+		return []byte("kernel " + name + "\nlet n = 64\narray out float[n]\n\nparallel for i = 0 .. n {\n    out[i] = 1.0\n}\n")
+	}
+	if err := os.WriteFile(filepath.Join(dir, "a.hbk"), kernel("a"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(filepath.Join(dir, "bad"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "bad", "b.hbk"), kernel("b"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	pool := serve.NewPool(serve.Config{Shards: 1, WorkersPerShard: 1})
+	defer pool.Close()
+	loaded, skipped := loadKernels(pool, dir, nil)
+	if len(loaded) != 1 || loaded[0] != "a" || skipped != 0 {
+		t.Fatalf("loadKernels = %v (skipped %d), want [a] (skipped 0)", loaded, skipped)
 	}
 }
 

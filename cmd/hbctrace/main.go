@@ -62,7 +62,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	prog, err := hbc.Compile(c.Nest, hbc.Config{TraceEvents: true})
+	prog, err := hbc.Compile(c.Nest, hbc.Config{})
 	if err != nil {
 		fatal(err)
 	}
@@ -92,9 +92,6 @@ func main() {
 		if n := counts[kind]; n > 0 {
 			fmt.Printf("  %-10s %d\n", kind, n)
 		}
-	}
-	if et := r.EventTrace(); et.Truncated {
-		fmt.Printf("promotion log: %d events kept, %d dropped\n", len(et.Events), et.Dropped)
 	}
 	fmt.Println()
 	fmt.Print(snap.Timeline(*bin))
@@ -149,12 +146,12 @@ func validateTrace(path string) error {
 		return err
 	}
 	var doc struct {
-		TraceEvents []json.RawMessage `json:"traceEvents"`
+		Events []json.RawMessage `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		return err
 	}
-	if len(doc.TraceEvents) == 0 {
+	if len(doc.Events) == 0 {
 		return fmt.Errorf("traceEvents is empty")
 	}
 	return nil

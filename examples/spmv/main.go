@@ -84,7 +84,7 @@ func main() {
 			envAny.(*env).out[idx[0]] = *children[0].(*float64)
 		},
 	}
-	prog := hbc.MustCompile(&hbc.Nest{Name: "spmv", Root: row}, hbc.Config{TraceEvents: true})
+	prog := hbc.MustCompile(&hbc.Nest{Name: "spmv", Root: row}, hbc.Config{})
 	fmt.Printf("compiled: %d leftover tasks in the table\n", prog.Leftovers())
 
 	// Serial elision first, as the baseline.
@@ -93,8 +93,9 @@ func main() {
 	serial := time.Since(t0)
 	fmt.Printf("serial: %v (out[0]=%g, out[1]=%g)\n", serial.Round(time.Microsecond), e.out[0], e.out[1])
 
-	// Heartbeat-scheduled run.
-	team := hbc.NewTeam()
+	// Heartbeat-scheduled run, traced: every beat, promotion and chunk
+	// retune lands on its worker's event lane.
+	team := hbc.NewTeam(hbc.WithTelemetry(0))
 	defer team.Close()
 	r := team.Load(prog, e)
 	defer r.Close()
@@ -106,5 +107,5 @@ func main() {
 	fmt.Printf("heartbeat: %v on %d workers\n", hb.Round(time.Microsecond), team.Size())
 	fmt.Printf("promotions: %d total, by nesting level %v\n", st.Promotions(), st.ByLevel())
 	fmt.Printf("heartbeats: %v\n", r.PulseStats())
-	fmt.Print(hbc.FormatTimeline(r.Events(), 2*time.Millisecond))
+	fmt.Print(team.Telemetry().Tracer.Snapshot().Timeline(2 * time.Millisecond))
 }

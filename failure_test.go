@@ -76,7 +76,7 @@ func TestRunCtxDeadlineCancelsRun(t *testing.T) {
 			},
 		},
 	}
-	r := team.Load(MustCompile(nest, Config{NoChunking: true}), nil)
+	r := team.Load(MustCompile(nest, Config{Sched: "none"}), nil)
 	defer r.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)

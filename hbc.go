@@ -458,26 +458,15 @@ type Config struct {
 	TPAL bool
 	// Policy selects the promotion target (default outer-loop-first).
 	Policy PromotionPolicy
-	// LatchPollEvery batches interior-latch polls (default 1: the paper's
-	// poll-every-latch placement). Raising it amortizes poll cost on nests
-	// whose inner loops run only a few iterations per invocation.
-	LatchPollEvery int64
 	// StaticChunk, if > 0, disables adaptive chunking in favor of this
 	// fixed leaf chunk size.
 	StaticChunk int64
-	// NoChunking polls at every leaf iteration (ablation).
-	NoChunking bool
 	// TargetPolls and WindowSize tune Adaptive Chunking (defaults 4 and 8).
 	TargetPolls int64
 	WindowSize  int
 	// DisablePromotion compiles the full heartbeat machinery but never
 	// promotes, for overhead measurement.
 	DisablePromotion bool
-	// TraceChunks records per-invocation chunk-size samples.
-	TraceChunks bool
-	// TraceEvents records every promotion into a bounded event log readable
-	// via Runner.Events.
-	TraceEvents bool
 	// Facts attaches the static analyzer's fact record for the kernel this
 	// nest was lowered from (analysis.BuildFacts). The compiled Program
 	// caches it (Program.Facts) for downstream consumers — the serve
@@ -494,7 +483,8 @@ type Config struct {
 	// §5.1 default), "static", "none", "guided", "factoring", "trapezoid",
 	// "weighted", or "auto" (the LB4OMP-style online selector, which
 	// profiles each candidate for SchedProfileRuns invocations and locks
-	// the winner). Empty keeps the legacy StaticChunk/NoChunking selection.
+	// the winner). Empty selects "static" when StaticChunk > 0, else
+	// "adaptive".
 	// Unknown names are a Compile error. See also WithPolicy.
 	Sched string
 	// MinChunk floors the decreasing schedules (guided, factoring,
@@ -520,13 +510,10 @@ func (c Config) WithPolicy(name string) Config {
 func (c Config) coreOptions() core.Options {
 	o := core.Options{
 		Policy:           c.Policy,
-		LatchPollEvery:   c.LatchPollEvery,
 		TargetPolls:      c.TargetPolls,
 		WindowSize:       c.WindowSize,
 		InitialChunk:     c.InitialChunk,
 		DisablePromotion: c.DisablePromotion,
-		TraceChunks:      c.TraceChunks,
-		TraceEvents:      c.TraceEvents,
 	}
 	if o.InitialChunk == 0 && c.Facts != nil {
 		o.InitialChunk = c.Facts.LeafChunkHint()
@@ -536,9 +523,9 @@ func (c Config) coreOptions() core.Options {
 	}
 	switch {
 	case c.Sched != "":
-		// Named policy wins over the legacy switches; the name was already
-		// validated by Compile. StaticChunk doubles as the "static"
-		// schedule's size (and the static candidate's size under "auto").
+		// The name was already validated by Compile. StaticChunk doubles as
+		// the "static" schedule's size (and the static candidate's size
+		// under "auto").
 		kind, _ := core.ParseChunkKind(c.Sched)
 		o.Chunk = core.ChunkPolicy{
 			Kind:        kind,
@@ -547,8 +534,6 @@ func (c Config) coreOptions() core.Options {
 			Weights:     c.SchedWeights,
 			ProfileRuns: c.SchedProfileRuns,
 		}
-	case c.NoChunking:
-		o.Chunk = core.ChunkPolicy{Kind: core.ChunkNone}
 	case c.StaticChunk > 0:
 		o.Chunk = core.ChunkPolicy{Kind: core.ChunkStatic, Size: c.StaticChunk}
 	default:
@@ -660,8 +645,8 @@ func (t *Team) Load(p *Program, env any) *Runner {
 }
 
 // registerRunner exposes a loaded runner's statistics through the metrics
-// registry: promotion and task counts, heartbeat delivery statistics, the
-// promotion-log drop counter, and the live per-worker AC chunk sizes.
+// registry: promotion and task counts, heartbeat delivery statistics, and
+// the live per-worker AC chunk sizes.
 func (t *Team) registerRunner(p *Program, x *core.Exec) {
 	name := p.p.Nest.Name
 	if name == "" {
@@ -685,7 +670,6 @@ func (t *Team) registerRunner(p *Program, x *core.Exec) {
 		emit("pulse_failovers_total", float64(ps.Failovers))
 		emit("pulse_lag_mean_ns", float64(ps.LagMean))
 		emit("pulse_lag_max_ns", float64(ps.LagMax))
-		emit("promolog_dropped_total", float64(x.EventsDropped()))
 		for w := 0; w < workers; w++ {
 			chunks := x.Chunks(w)
 			for ord := 0; ord < leaves && ord < len(chunks); ord++ {
@@ -745,9 +729,6 @@ func (r *Runner) Stats() *core.RunStats { return r.x.Stats() }
 // PulseStats exposes heartbeat delivery statistics.
 func (r *Runner) PulseStats() pulse.Stats { return r.x.Pulse() }
 
-// ChunkTrace returns recorded chunk-size samples (Config.TraceChunks).
-func (r *Runner) ChunkTrace() []core.ChunkSample { return r.x.ChunkTrace() }
-
 // Chunks returns worker w's current per-leaf chunk sizes.
 func (r *Runner) Chunks(w int) []int64 { return r.x.Chunks(w) }
 
@@ -762,21 +743,3 @@ type SelectorState = core.SelectorState
 // SelectorState reports the online selector's progress; ok is false unless
 // the runner's program was compiled with the "auto" policy.
 func (r *Runner) SelectorState() (SelectorState, bool) { return r.x.SelectorState() }
-
-// Events returns the recorded promotion events (Config.TraceEvents).
-func (r *Runner) Events() []core.PromotionEvent { return r.x.Events() }
-
-// EventTrace returns the recorded promotion events together with the
-// bounded log's truncation state (Config.TraceEvents): Dropped counts the
-// promotions that arrived after the log filled, so a truncated trace is
-// never mistaken for a complete one.
-func (r *Runner) EventTrace() core.EventTrace { return r.x.EventTrace() }
-
-// EventTrace is a snapshot of the promotion log with truncation state.
-type EventTrace = core.EventTrace
-
-// PromotionEvent is one recorded promotion; see Config.TraceEvents.
-type PromotionEvent = core.PromotionEvent
-
-// FormatTimeline renders promotion events as a terminal histogram.
-var FormatTimeline = core.FormatTimeline

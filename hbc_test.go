@@ -206,7 +206,6 @@ func TestPolicyAndBatchingConfigs(t *testing.T) {
 	for _, cfg := range []Config{
 		{Policy: InnerFirst},
 		{Policy: SelfOnly},
-		{LatchPollEvery: 8},
 	} {
 		team := testTeam(t, 2)
 		var sum atomic.Int64

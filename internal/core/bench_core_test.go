@@ -35,10 +35,6 @@ func BenchmarkSpmvDriverPolling(b *testing.B) {
 	benchExec(b, Options{DisablePromotion: true}, pulse.NewTimer(), 20000)
 }
 
-func BenchmarkSpmvDriverPollingBatched(b *testing.B) {
-	benchExec(b, Options{DisablePromotion: true, LatchPollEvery: 8}, pulse.NewTimer(), 20000)
-}
-
 func BenchmarkSpmvHeartbeat(b *testing.B) {
 	benchExec(b, Options{}, pulse.NewTimer(), 20000)
 }

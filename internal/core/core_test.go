@@ -547,24 +547,6 @@ func TestAdaptiveChunkShrinksWhenBeatsMissed(t *testing.T) {
 	}
 }
 
-func TestChunkTraceRecorded(t *testing.T) {
-	env := newCSR(30)
-	p := MustCompile(csrNest(), Options{TraceChunks: true, Chunk: ChunkPolicy{Kind: ChunkAdaptive}})
-	team := sched.NewTeam(1)
-	defer team.Close()
-	x := NewExec(p, team, pulse.NewNever(), DefaultHeartbeat, env)
-	x.Start()
-	defer x.Stop()
-	x.Run()
-	tr := x.ChunkTrace()
-	if len(tr) != 30 {
-		t.Fatalf("trace samples = %d, want 30 (one per leaf invocation)", len(tr))
-	}
-	if tr[5].Outer != 5 || tr[5].Chunk < 1 {
-		t.Fatalf("unexpected sample %+v", tr[5])
-	}
-}
-
 // --- timing-based smoke (real heartbeats, real stealing) -------------------------
 
 func TestRealHeartbeatsSpmv(t *testing.T) {

@@ -84,10 +84,6 @@ type Exec struct {
 	// set inside one leaf group until stealing widens it. -1 means unpinned.
 	pin int
 
-	traceMu sync.Mutex
-	trace   []ChunkSample
-	// events is the promotion log, nil unless Options.TraceEvents.
-	events *eventLog
 	// tr is the telemetry tracer, nil unless attached via SetTracer; the
 	// disabled path is one pointer test at each already-rare event site.
 	tr *telemetry.Tracer
@@ -103,14 +99,6 @@ type Exec struct {
 	snapPool sync.Pool
 }
 
-// ChunkSample is one Fig.-12 trace point: the chunk size in force when a
-// leaf-loop invocation began.
-type ChunkSample struct {
-	Leaf  int   // leaf ordinal
-	Outer int64 // outermost enclosing index (e.g. the spmv row)
-	Chunk int64
-}
-
 // NewExec prepares a run of prog on team, polling src at the given
 // heartbeat period, with the shared environment env.
 func NewExec(prog *Program, team *sched.Team, src pulse.Source, period time.Duration, env any) *Exec {
@@ -118,20 +106,12 @@ func NewExec(prog *Program, team *sched.Team, src pulse.Source, period time.Dura
 		period = DefaultHeartbeat
 	}
 	x := &Exec{prog: prog, team: team, src: src, env: env, period: period, manage: true, pin: -1}
-	if prog.opts.TraceEvents {
-		x.events = &eventLog{limit: maxTraceEvents, start: time.Now()}
-	}
 	x.stats.PromotionsByLevel = make([]int64, prog.depth)
 	x.ac = make([]acWorker, team.Size())
 	for i := range x.ac {
 		x.ac[i].init(x.prog.opts)
 	}
-	x.pol = NewPolicy(PolicyInfo{
-		Workers:     team.Size(),
-		Leaves:      len(prog.leaves),
-		Opts:        prog.opts,
-		StaticChunk: prog.staticChunk,
-	})
+	x.pol = NewPolicy(PolicyInfo{Workers: team.Size(), Leaves: len(prog.leaves), Opts: prog.opts})
 	if obs, ok := x.pol.(runObserver); ok {
 		x.obs = obs
 	}
@@ -154,7 +134,7 @@ func (x *Exec) Env() any { return x.env }
 
 // SetTracer attaches a telemetry tracer recording heartbeat detections,
 // promotions, and Adaptive Chunking retunes on the workers' lanes. Must be
-// called before Start; a nil tracer leaves tracing disabled.
+// called before the first Run; a nil tracer leaves tracing disabled.
 func (x *Exec) SetTracer(tr *telemetry.Tracer) { x.tr = tr }
 
 // Pin routes the root task of subsequent runs to the given topology group
@@ -304,15 +284,6 @@ func (x *Exec) Stats() *RunStats { return &x.stats }
 // Pulse returns the heartbeat source's delivery statistics.
 func (x *Exec) Pulse() pulse.Stats { return x.src.Stats() }
 
-// ChunkTrace returns the Fig.-12 samples recorded so far (TraceChunks only).
-func (x *Exec) ChunkTrace() []ChunkSample {
-	x.traceMu.Lock()
-	defer x.traceMu.Unlock()
-	out := make([]ChunkSample, len(x.trace))
-	copy(out, x.trace)
-	return out
-}
-
 const noPromo = -1
 
 // taskRun is the execution state of one task: a chain of LST contexts, the
@@ -334,9 +305,6 @@ type taskRun struct {
 	// promotion-ready point, one per leaf loop, carried across leaf-loop
 	// invocations within the task (chunk-size transferring, §3.2).
 	budget []int64
-	// latchBudget counts down interior-latch visits until the next poll
-	// (Options.LatchPollEvery batching).
-	latchBudget int64
 	// srt holds one SliceRT per leaf for programs with monomorphic Slice
 	// entries (nil otherwise). Entries reference this taskRun by pointer,
 	// so the scaffolding is built once per taskRun and survives pooling —
@@ -363,7 +331,6 @@ func newTaskRun(x *Exec, w *sched.Worker) *taskRun {
 		accPool:   make([]any, len(p.loops)),
 		childAccs: make([][]any, p.depth),
 	}
-	ts.latchBudget = p.opts.LatchPollEvery
 	if p.hasSlice {
 		ts.srt = make([]sliceRT, len(p.leaves))
 		for ord := range ts.srt {
@@ -406,7 +373,6 @@ func (x *Exec) getTaskRun(w *sched.Worker) *taskRun {
 	if v := x.trPool.Get(); v != nil {
 		ts := v.(*taskRun)
 		ts.w = w
-		ts.latchBudget = x.prog.opts.LatchPollEvery
 		return ts
 	}
 	return newTaskRun(x, w)
@@ -589,17 +555,13 @@ func (ts *taskRun) runLoop(l *cloop) int {
 			l.spec.Post(env, ts.idx[:lvl+1], ts.accVisible(l), ts.childAccs[lvl])
 		}
 		e.iv++
-		// The latch promotion-ready point of an interior DOALL loop (§3.2),
-		// optionally batched (Options.LatchPollEvery).
-		if ts.latchBudget--; ts.latchBudget <= 0 {
-			ts.latchBudget = ts.x.prog.opts.LatchPollEvery
-			if ts.poll(-1) {
-				if pl := ts.x.promote(ts, l); pl != noPromo {
-					if pl < lvl {
-						return pl
-					}
-					return noPromo
+		// The latch promotion-ready point of an interior DOALL loop (§3.2).
+		if ts.poll(-1) {
+			if pl := ts.x.promote(ts, l); pl != noPromo {
+				if pl < lvl {
+					return pl
 				}
+				return noPromo
 			}
 		}
 	}
@@ -659,11 +621,6 @@ func (ts *taskRun) runLeaf(l *cloop) int {
 	env := ts.x.env
 	acc := ts.accVisible(l)
 	idx := ts.idx[:lvl]
-	if ts.x.prog.opts.TraceChunks {
-		// Observe-only read: tracing must not advance a decreasing
-		// schedule's deal state.
-		ts.x.recordChunk(ord, ts.outermostIdx(), ts.x.pol.Chunk(ts.w.ID(), ord))
-	}
 	if sl := l.spec.Slice; sl != nil {
 		return ts.runLeafSlice(l, sl, e, acc, idx)
 	}
@@ -739,14 +696,6 @@ func (ts *taskRun) runLeafSlice(l *cloop, sl loopnest.Slice, e *lst, acc any, id
 	return noPromo
 }
 
-// outermostIdx returns the root-level index for chunk traces.
-func (ts *taskRun) outermostIdx() int64 {
-	if len(ts.idx) == 0 {
-		return 0
-	}
-	return ts.idx[0]
-}
-
 // poll checks the heartbeat source and feeds the scheduling policy's poll
 // window. ord is the polling leaf's ordinal, or -1 at interior latches.
 func (ts *taskRun) poll(ord int) bool {
@@ -766,7 +715,7 @@ func (ts *taskRun) poll(ord int) bool {
 	if tr := ts.x.tr; tr != nil {
 		tr.Emit(w, telemetry.KindBeat, int64(k), int64(ord), 0, 0, 0)
 		if retuned {
-			tr.Emit(w, telemetry.KindRetune, int64(leaf), next, prev, m, 0)
+			tr.Emit(w, telemetry.KindRetune, int64(leaf), next, prev, m, ts.idx[0])
 		}
 	}
 	return true
@@ -783,12 +732,6 @@ func (x *Exec) chunkFor(worker, ord int, remaining int64) int64 {
 		return c
 	}
 	return 1
-}
-
-func (x *Exec) recordChunk(ord int, outer, chunk int64) {
-	x.traceMu.Lock()
-	x.trace = append(x.trace, ChunkSample{Leaf: ord, Outer: outer, Chunk: chunk})
-	x.traceMu.Unlock()
 }
 
 // seqState is the per-strand state of the sequential driver, used by the

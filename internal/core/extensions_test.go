@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"hbc/internal/pulse"
 	"hbc/internal/sched"
@@ -181,129 +180,4 @@ func toString(v any) string {
 		return s.Error()
 	}
 	return fmt.Sprint(v)
-}
-
-// --- latch-poll batching --------------------------------------------------
-
-func TestLatchPollEveryCorrectAndCheaper(t *testing.T) {
-	countPolls := func(k int64) int64 {
-		env := newCSR(500)
-		p := MustCompile(csrNest(), Options{
-			LatchPollEvery: k,
-			Chunk:          ChunkPolicy{Kind: ChunkStatic, Size: 64},
-		})
-		src := pulse.NewNever()
-		runWith(t, p, src, 1, env)
-		int64sEqual(t, env.out, env.serial(), "latch batching")
-		return src.Stats().Polls
-	}
-	p1 := countPolls(1)
-	p8 := countPolls(8)
-	if p8 >= p1 {
-		t.Fatalf("batched polls (%d) not fewer than unbatched (%d)", p8, p1)
-	}
-	// Leaf polls are identical; only latch polls shrink, by ~8x.
-	if p8 > p1/2 {
-		t.Fatalf("batching too weak: %d vs %d", p8, p1)
-	}
-}
-
-func TestLatchPollEveryUnderPromotion(t *testing.T) {
-	env := newCSR(200)
-	p := MustCompile(csrNest(), Options{
-		LatchPollEvery: 4,
-		Chunk:          ChunkPolicy{Kind: ChunkStatic, Size: 2},
-	})
-	runWith(t, p, pulse.NewEveryN(3), 3, env)
-	int64sEqual(t, env.out, env.serial(), "latch batching promoted")
-}
-
-// --- per-leaf static chunks --------------------------------------------------
-
-func TestPerLeafStaticChunks(t *testing.T) {
-	// Two sibling leaves ("a" spans 8, "b" spans 5 per iteration): give "a"
-	// chunk 4 and "b" chunk 5 and count polls with a Never source. For 40
-	// outer iterations: a polls 40*8/4 = 80 times, b polls 40*5/5 = 40
-	// times, plus 40 latch polls = 160 total.
-	env := &siblingEnv{n: 40, outA: make([]int64, 40), outB: make([]int64, 40)}
-	p := MustCompile(siblingNest(), Options{
-		Chunk: ChunkPolicy{
-			Kind: ChunkStatic,
-			Size: 4,
-			PerLeaf: map[string]int64{
-				"b": 5,
-			},
-		},
-	})
-	src := pulse.NewNever()
-	runWith(t, p, src, 1, env)
-	wa, wb := env.serial()
-	int64sEqual(t, env.outA, wa, "perleaf outA")
-	int64sEqual(t, env.outB, wb, "perleaf outB")
-	if got := src.Stats().Polls; got != 160 {
-		t.Fatalf("polls = %d, want 160 (80 leaf-a + 40 leaf-b + 40 latch)", got)
-	}
-}
-
-// --- promotion event trace -----------------------------------------------
-
-func TestPromotionEventsRecorded(t *testing.T) {
-	env := newCSR(200)
-	p := MustCompile(csrNest(), Options{
-		TraceEvents: true,
-		Chunk:       ChunkPolicy{Kind: ChunkStatic, Size: 2},
-	})
-	team := sched.NewTeam(2)
-	defer team.Close()
-	x := NewExec(p, team, pulse.NewEveryN(4), DefaultHeartbeat, env)
-	x.Start()
-	defer x.Stop()
-	x.Run()
-	int64sEqual(t, env.out, env.serial(), "traced spmv")
-	evs := x.Events()
-	if int64(len(evs)) != x.Stats().Promotions() {
-		t.Fatalf("events = %d, promotions = %d", len(evs), x.Stats().Promotions())
-	}
-	sawLeftover := false
-	for _, e := range evs {
-		if e.Mid < e.Lo || e.Hi < e.Mid {
-			t.Fatalf("bad split ranges in %v", e)
-		}
-		if e.Leftover {
-			sawLeftover = true
-			if e.Split.Level >= e.At.Level {
-				t.Fatalf("leftover event with non-ancestor split: %v", e)
-			}
-		} else if e.Split != e.At {
-			t.Fatalf("self split with differing loops: %v", e)
-		}
-	}
-	if !sawLeftover {
-		t.Fatal("expected at least one leftover promotion")
-	}
-	// The timeline renders without error and mentions the event count.
-	out := FormatTimeline(evs, time.Millisecond)
-	if !strings.Contains(out, "events") {
-		t.Fatalf("timeline missing summary:\n%s", out)
-	}
-}
-
-func TestPromotionEventsOffByDefault(t *testing.T) {
-	env := newCSR(50)
-	p := MustCompile(csrNest(), Options{})
-	team := sched.NewTeam(1)
-	defer team.Close()
-	x := NewExec(p, team, pulse.NewAlways(), DefaultHeartbeat, env)
-	x.Start()
-	defer x.Stop()
-	x.Run()
-	if evs := x.Events(); evs != nil {
-		t.Fatalf("events recorded without TraceEvents: %d", len(evs))
-	}
-}
-
-func TestFormatTimelineEmpty(t *testing.T) {
-	if out := FormatTimeline(nil, 0); !strings.Contains(out, "no promotions") {
-		t.Fatalf("empty timeline: %q", out)
-	}
 }

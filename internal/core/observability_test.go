@@ -4,10 +4,8 @@ import (
 	"math"
 	"math/big"
 	"runtime"
-	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"hbc/internal/pulse"
 	"hbc/internal/sched"
@@ -145,74 +143,6 @@ func TestOnHeartbeatOverflowKeepsMax(t *testing.T) {
 	}
 }
 
-// TestEventLogDropCounter pins the promotion-log bugfix: a full log must
-// count what it drops instead of truncating silently.
-func TestEventLogDropCounter(t *testing.T) {
-	l := &eventLog{limit: 4, start: time.Now()}
-	for i := 0; i < 10; i++ {
-		l.add(PromotionEvent{Lo: int64(i)})
-	}
-	if len(l.events) != 4 {
-		t.Fatalf("log kept %d events, want 4", len(l.events))
-	}
-	if l.dropped != 6 {
-		t.Fatalf("dropped = %d, want 6", l.dropped)
-	}
-}
-
-// TestEventTraceTruncation checks the drop counter end to end: a run whose
-// promotions exceed the log limit reports Truncated with an exact count.
-func TestEventTraceTruncation(t *testing.T) {
-	data := make([]int64, 200_000)
-	p := MustCompile(sumNest("sum"), Options{TraceEvents: true})
-	team := sched.NewTeam(2)
-	defer team.Close()
-	x := NewExec(p, team, pulse.NewEveryN(4), DefaultHeartbeat, &sumEnv{data: data})
-	x.events.limit = 8 // shrink the cap so truncation is reachable
-	x.Start()
-	defer x.Stop()
-	x.Run()
-
-	et := x.EventTrace()
-	promos := x.Stats().Promotions()
-	if promos <= 8 {
-		t.Skipf("only %d promotions; need > 8 to exercise truncation", promos)
-	}
-	if !et.Truncated {
-		t.Fatalf("log overflowed (%d promotions, limit 8) but Truncated is false", promos)
-	}
-	if got := int64(len(et.Events)); got != 8 {
-		t.Fatalf("kept %d events, want 8", got)
-	}
-	if et.Dropped != promos-8 {
-		t.Fatalf("Dropped = %d, want %d (promotions %d - limit 8)", et.Dropped, promos-8, promos)
-	}
-	if x.EventsDropped() != et.Dropped {
-		t.Fatalf("EventsDropped = %d, want %d", x.EventsDropped(), et.Dropped)
-	}
-}
-
-// TestFormatTimelineZeroBin pins the bin <= 0 edge: the formatter must fall
-// back to a millisecond bin instead of dividing by zero.
-func TestFormatTimelineZeroBin(t *testing.T) {
-	events := []PromotionEvent{
-		{When: 100 * time.Microsecond},
-		{When: 1500 * time.Microsecond, Leftover: true},
-	}
-	for _, bin := range []time.Duration{0, -time.Second} {
-		out := FormatTimeline(events, bin)
-		if !strings.Contains(out, "1ms bins") {
-			t.Fatalf("FormatTimeline(bin=%v) did not fall back to 1ms bins:\n%s", bin, out)
-		}
-		if !strings.Contains(out, "2 events") {
-			t.Fatalf("FormatTimeline(bin=%v) lost events:\n%s", bin, out)
-		}
-	}
-	if out := FormatTimeline(nil, 0); !strings.Contains(out, "no promotions") {
-		t.Fatalf("empty timeline = %q", out)
-	}
-}
-
 // TestTracerRecordsRuntimeEvents checks the core wiring: with a tracer
 // attached, a promoting run emits beat, promotion, and retune events on
 // worker lanes.
@@ -240,6 +170,63 @@ func TestTracerRecordsRuntimeEvents(t *testing.T) {
 		t.Fatalf("tracer recorded %d promotions, stats say %d", got, want)
 	}
 	if counts[telemetry.KindRetune] == 0 {
+		t.Fatal("no retune events recorded")
+	}
+}
+
+// TestPromotionEventsRecorded checks the payloads the tracer carries on a
+// two-level nest: promotion split bounds are ordered, a leftover (A != B)
+// always splits an ancestor of the polling loop, every promotion is traced
+// exactly once, and retunes carry a row inside the root loop's bounds.
+func TestPromotionEventsRecorded(t *testing.T) {
+	env := newCSR(200)
+	p := MustCompile(csrNest(), Options{Chunk: ChunkPolicy{Kind: ChunkAdaptive}, WindowSize: 2})
+	team := sched.NewTeam(2)
+	defer team.Close()
+	tr := telemetry.NewTracer(team.Size(), 1<<16)
+	x := NewExec(p, team, pulse.NewEveryN(4), DefaultHeartbeat, env)
+	x.SetTracer(tr)
+	x.Start()
+	defer x.Stop()
+	x.Run()
+	int64sEqual(t, env.out, env.serial(), "traced spmv")
+
+	snap := tr.Snapshot()
+	if snap.Truncated() {
+		t.Fatalf("ring wrapped (%d dropped); grow it", snap.Dropped())
+	}
+	var promos, leftovers, retunes int64
+	for _, l := range snap.Lanes {
+		for _, e := range l.Events {
+			switch e.Kind {
+			case telemetry.KindPromotion:
+				promos++
+				if e.D < e.C || e.E < e.D {
+					t.Fatalf("bad split ranges [%d,%d|%d)", e.C, e.D, e.E)
+				}
+				if e.A != e.B {
+					leftovers++
+					atLevel, _ := telemetry.UnpackLoopID(e.A)
+					splitLevel, _ := telemetry.UnpackLoopID(e.B)
+					if splitLevel >= atLevel {
+						t.Fatalf("leftover promotion splits level %d, not above polling level %d", splitLevel, atLevel)
+					}
+				}
+			case telemetry.KindRetune:
+				retunes++
+				if e.E < 0 || e.E >= env.rows() {
+					t.Fatalf("retune row %d outside the root loop [0,%d)", e.E, env.rows())
+				}
+			}
+		}
+	}
+	if promos != x.Stats().Promotions() {
+		t.Fatalf("traced promotions = %d, stats say %d", promos, x.Stats().Promotions())
+	}
+	if leftovers == 0 {
+		t.Fatal("expected at least one leftover promotion")
+	}
+	if retunes == 0 {
 		t.Fatal("no retune events recorded")
 	}
 }

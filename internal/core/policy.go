@@ -38,8 +38,8 @@ import (
 //     the window's minimum per-heartbeat poll count for worker w, ord the
 //     leaf it is attributed to. Feedback-driven policies retune here and
 //     report the rescale for tracing; schedule-driven policies ignore it.
-//   - Chunk is the observe-only read used by Exec.Chunks, chunk traces,
-//     and the telemetry registry. It may run concurrently with the owner's
+//   - Chunk is the observe-only read used by Exec.Chunks and the
+//     telemetry registry. It may run concurrently with the owner's
 //     NextChunk/OnWindow, so observable state lives in atomic slots.
 type SchedPolicy interface {
 	Name() string
@@ -57,9 +57,6 @@ type PolicyInfo struct {
 	Leaves int
 	// Opts are the compile options (chunk policy, AC tuning knobs).
 	Opts Options
-	// StaticChunk is the resolved per-leaf static size (Program.staticChunk);
-	// nil falls back to Opts.Chunk.Size for every leaf.
-	StaticChunk []int64
 }
 
 // NewPolicy builds the SchedPolicy selected by info.Opts.Chunk. Exported so
@@ -75,15 +72,6 @@ func NewPolicy(info PolicyInfo) SchedPolicy {
 	if info.Leaves < 1 {
 		info.Leaves = 1
 	}
-	if info.StaticChunk == nil {
-		info.StaticChunk = make([]int64, info.Leaves)
-		for i := range info.StaticChunk {
-			info.StaticChunk[i] = info.Opts.Chunk.Size
-		}
-	}
-	if c := info.Opts.Chunk.Custom; c != nil {
-		return c(info)
-	}
 	return newKindPolicy(info.Opts.Chunk.Kind, info)
 }
 
@@ -91,15 +79,9 @@ func newKindPolicy(kind ChunkKind, info PolicyInfo) SchedPolicy {
 	o := info.Opts
 	switch kind {
 	case ChunkStatic:
-		sizes := make([]int64, info.Leaves)
-		for i := range sizes {
-			s := int64(1)
-			if i < len(info.StaticChunk) && info.StaticChunk[i] > 0 {
-				s = info.StaticChunk[i]
-			}
-			sizes[i] = s
-		}
-		return &staticPolicy{sizes: sizes}
+		// Size is defaulted only for ChunkStatic itself; the static
+		// candidate of ChunkAuto may see 0.
+		return staticPolicy{size: max(o.Chunk.Size, 1)}
 	case ChunkNone:
 		return nonePolicy{}
 	case ChunkGuided:
@@ -203,18 +185,16 @@ func (p *adaptivePolicy) OnWindow(w, ord int, m int64) (prev, next int64, retune
 
 func (p *adaptivePolicy) Chunk(w, ord int) int64 { return p.slots.load(w, ord) }
 
-// staticPolicy deals a fixed per-leaf chunk size — TPAL's hand-tuned
-// static chunking, with PerLeaf overrides resolved at compile time.
+// staticPolicy deals one fixed chunk size to every leaf — TPAL's hand-tuned
+// static chunking.
 type staticPolicy struct {
-	sizes []int64
+	size int64
 }
 
-func (p *staticPolicy) Name() string                        { return "static" }
-func (p *staticPolicy) NextChunk(_, ord int, _ int64) int64 { return p.sizes[ord] }
-func (p *staticPolicy) OnWindow(_, _ int, _ int64) (int64, int64, bool) {
-	return 0, 0, false
-}
-func (p *staticPolicy) Chunk(_, ord int) int64 { return p.sizes[ord] }
+func (p staticPolicy) Name() string                                    { return "static" }
+func (p staticPolicy) NextChunk(_, _ int, _ int64) int64               { return p.size }
+func (p staticPolicy) OnWindow(_, _ int, _ int64) (int64, int64, bool) { return 0, 0, false }
+func (p staticPolicy) Chunk(_, _ int) int64                            { return p.size }
 
 // nonePolicy polls at every iteration — the paper's "No chunking" ablation.
 type nonePolicy struct{}

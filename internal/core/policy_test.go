@@ -257,8 +257,6 @@ func TestCompileRejectsBadChunkConfigs(t *testing.T) {
 		want string
 	}{
 		{"negative static size", Options{Chunk: ChunkPolicy{Kind: ChunkStatic, Size: -8}}, "negative"},
-		{"zero per-leaf override", Options{Chunk: ChunkPolicy{Kind: ChunkStatic, PerLeaf: map[string]int64{"sum": 0}}}, "PerLeaf"},
-		{"negative per-leaf override", Options{Chunk: ChunkPolicy{PerLeaf: map[string]int64{"sum": -3}}}, "PerLeaf"},
 		{"negative weight", Options{Chunk: ChunkPolicy{Kind: ChunkWeighted, Weights: []float64{1, -1}}}, "Weights"},
 		{"auto as its own candidate", Options{Chunk: ChunkPolicy{Kind: ChunkAuto, Candidates: []ChunkKind{ChunkAuto}}}, "candidate"},
 		{"unknown kind", Options{Chunk: ChunkPolicy{Kind: ChunkKind(99)}}, "unknown"},
@@ -279,8 +277,8 @@ func TestCompileRejectsBadChunkConfigs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("zero static size rejected: %v", err)
 	}
-	if p.staticChunk[0] != 1 {
-		t.Fatalf("zero static size resolved to %d, want default 1", p.staticChunk[0])
+	if got := NewPolicy(PolicyInfo{Opts: p.Options()}).NextChunk(0, 0, 100); got != 1 {
+		t.Fatalf("zero static size resolved to %d, want default 1", got)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"hbc/internal/sched"
+	"hbc/internal/telemetry"
 )
 
 // promote is the promotion handler (§2, §3.2): called from a promotion-ready
@@ -81,6 +82,17 @@ func (x *Exec) promote(ts *taskRun, li *cloop) int {
 	return ljLevel
 }
 
+// recordPromotion traces one promotion on the promoting worker's lane when a
+// tracer is attached; the event's A != B marks a leftover fork.
+func (x *Exec) recordPromotion(w int, li, lj *cloop, lo, mid, hi int64) {
+	if x.tr != nil {
+		x.tr.Emit(w, telemetry.KindPromotion,
+			telemetry.PackLoopID(li.id.Level, li.id.Index),
+			telemetry.PackLoopID(lj.id.Level, lj.id.Index),
+			lo, mid, hi)
+	}
+}
+
 // splitSelf handles the case Lj == Li: the polling loop's own unstarted
 // range [iv, hi) is divided into two loop-slice tasks. No leftover task is
 // needed — a chunk boundary (or interior latch) is a clean cut.
@@ -89,7 +101,7 @@ func (x *Exec) splitSelf(ts *taskRun, l *cloop) {
 	lo, hi := e.iv, e.hi
 	mid := lo + (hi-lo)/2
 	e.hi = e.iv // nothing of this invocation remains ours
-	x.recordPromotion(ts.w.ID(), l, l, lo, mid, hi, false)
+	x.recordPromotion(ts.w.ID(), l, l, lo, mid, hi)
 
 	latch := ts.w.NewLatch(1)
 	accA := x.forkSlice(ts, l, lo, mid, latch)
@@ -112,7 +124,7 @@ func (x *Exec) splitAncestor(ts *taskRun, li, lj *cloop) {
 	lo, hi := ej.iv+1, ej.hi
 	mid := lo + (hi-lo)/2
 	ej.hi = ej.iv + 1 // only the in-flight iteration remains, owned by the leftover
-	x.recordPromotion(ts.w.ID(), li, lj, lo, mid, hi, true)
+	x.recordPromotion(ts.w.ID(), li, lj, lo, mid, hi)
 
 	lt := x.prog.leftoverFor(li, lj)
 	latch := ts.w.NewLatch(1)

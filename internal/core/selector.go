@@ -73,13 +73,7 @@ func newSelectorPolicy(info PolicyInfo) *selectorPolicy {
 		co := o
 		co.Chunk.Kind = k
 		co.Chunk.Candidates = nil
-		co.Chunk.Custom = nil
-		sub := newKindPolicy(k, PolicyInfo{
-			Workers:     info.Workers,
-			Leaves:      info.Leaves,
-			Opts:        co,
-			StaticChunk: info.StaticChunk,
-		})
+		sub := newKindPolicy(k, PolicyInfo{Workers: info.Workers, Leaves: info.Leaves, Opts: co})
 		s.cands = append(s.cands, sub)
 		s.names = append(s.names, sub.Name())
 	}

@@ -7,6 +7,7 @@ import (
 	"hbc/internal/core"
 	"hbc/internal/pulse"
 	"hbc/internal/stats"
+	"hbc/internal/telemetry"
 	"hbc/internal/workloads"
 )
 
@@ -121,7 +122,10 @@ func fig11(cfg Config) (*stats.Table, error) {
 
 // fig12 traces the chunk size Adaptive Chunking settles on while sweeping
 // rows of four matrices whose per-row nonzero counts differ radically,
-// bucketed over the row space.
+// bucketed over the row space. The chunks come from the tracer's retune
+// events, each tagged with the row in flight when its window closed, over
+// cfg.Runs sweeps (one retune per heartbeat window is sparse for a single
+// short run); the nonzero average covers every row of the bucket.
 func fig12(cfg Config) (*stats.Table, error) {
 	const buckets = 10
 	tb := stats.NewTable("Figure 12: Adaptive Chunking trace (row-bucket averages)",
@@ -132,34 +136,41 @@ func fig12(cfg Config) (*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		s, err := newHBCSession(cfg, w, pulse.NewTimer(), core.Options{TraceChunks: true})
+		s, err := newHBCSession(cfg, w, pulse.NewTimer(), core.Options{})
 		if err != nil {
 			return nil, err
 		}
-		w.RunHBC(s.drv)
-		trace := s.drv.Exec("spmv").ChunkTrace()
+		tr := telemetry.NewTracer(cfg.Workers, 1<<14)
+		s.drv.Exec("spmv").SetTracer(tr)
+		for i := 0; i < max(cfg.Runs, 1); i++ {
+			w.RunHBC(s.drv)
+		}
 		s.close()
 		nnz := w.(interface{ RowNNZ(i int64) int64 })
 		rows := w.(interface{ Rows() int64 }).Rows()
-		type agg struct {
-			nnz, chunk, n float64
+		bucket := func(row int64) int { return int(min(row*buckets/rows, buckets-1)) }
+		var rowNNZ, rowN, chunk, retunes [buckets]float64
+		for i := int64(0); i < rows; i++ {
+			rowNNZ[bucket(i)] += float64(nnz.RowNNZ(i))
+			rowN[bucket(i)]++
 		}
-		bs := make([]agg, buckets)
-		for _, sm := range trace {
-			b := int(sm.Outer * buckets / rows)
-			if b >= buckets {
-				b = buckets - 1
+		for _, l := range tr.Snapshot().Lanes {
+			for _, e := range l.Events {
+				if e.Kind == telemetry.KindRetune {
+					chunk[bucket(e.E)] += float64(e.B)
+					retunes[bucket(e.E)]++
+				}
 			}
-			bs[b].chunk += float64(sm.Chunk)
-			bs[b].nnz += float64(nnz.RowNNZ(sm.Outer))
-			bs[b].n++
 		}
-		for b, a := range bs {
-			if a.n == 0 {
+		for b := 0; b < buckets; b++ {
+			switch {
+			case rowN[b] == 0:
 				tb.Row(name, b, "-", "-")
-				continue
+			case retunes[b] == 0:
+				tb.Row(name, b, rowNNZ[b]/rowN[b], "-")
+			default:
+				tb.Row(name, b, rowNNZ[b]/rowN[b], chunk[b]/retunes[b])
 			}
-			tb.Row(name, b, a.nnz/a.n, a.chunk/a.n)
 		}
 	}
 	return tb, nil

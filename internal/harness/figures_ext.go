@@ -1,6 +1,7 @@
 package harness
 
-// Extension experiments beyond the paper's figures, numbered 17–20. They
+// Extension experiments beyond the paper's figures, numbered 17–20 and 22
+// (21 is retired, so published experiment numbers keep their meaning). They
 // probe design choices the paper asserts but does not ablate (outer-loop-
 // first, the heartbeat rate) and implement its concluding suggestion that
 // an ideal compiler ships both heartbeat and static scheduling.
@@ -193,48 +194,6 @@ func measureStatic(cfg Config, w workloads.Workload) (time.Duration, error) {
 		}
 	}
 	return d, nil
-}
-
-func init() {
-	registerFigure(21, "Extension: latch-poll batching on tiny inner loops", fig21)
-}
-
-// fig21 ablates Options.LatchPollEvery on the benchmarks the paper
-// identifies as dominated by promotion-insertion overhead — spmv inputs
-// whose inner loops run only a few iterations per invocation. Columns show
-// speedup over serial and the heartbeat detection rate, which batching may
-// erode.
-func fig21(cfg Config) (*stats.Table, error) {
-	ks := []int64{1, 2, 4, 8, 16}
-	tb := stats.NewTable("Experiment 21: interior-latch poll batching",
-		"benchmark", "poll-every", "speedup", "detection%")
-	for _, name := range []string{"spmv-arrowhead", "spmv-powerlaw", "spmv-random"} {
-		w, err := prepared(cfg, name)
-		if err != nil {
-			return nil, err
-		}
-		serial, err := measureSerial(cfg, w)
-		if err != nil {
-			return nil, err
-		}
-		for _, k := range ks {
-			cfg.logf("fig21: %s k=%d\n", name, k)
-			src := pulse.NewTimer()
-			s, err := newHBCSession(cfg, w, src, core.Options{LatchPollEvery: k})
-			if err != nil {
-				return nil, err
-			}
-			d, err := s.measure(cfg)
-			if err != nil {
-				s.close()
-				return nil, err
-			}
-			st := src.Stats()
-			s.close()
-			tb.Row(name, k, stats.Speedup(serial, d), st.DetectionRate())
-		}
-	}
-	return tb, nil
 }
 
 func init() {

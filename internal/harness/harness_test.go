@@ -22,12 +22,16 @@ func tiny() Config {
 
 func TestFiguresRegistered(t *testing.T) {
 	figs := Figures()
-	if len(figs) != 19 {
-		t.Fatalf("figures = %d, want 19 (Figs. 4-16 + extensions 17-22)", len(figs))
+	if len(figs) != 18 {
+		t.Fatalf("figures = %d, want 18 (Figs. 4-16 + extensions 17-20, 22)", len(figs))
 	}
 	for i, f := range figs {
-		if f.ID != i+4 {
-			t.Fatalf("figure[%d].ID = %d, want %d", i, f.ID, i+4)
+		want := i + 4
+		if want >= 21 {
+			want++ // Experiment 21 is retired
+		}
+		if f.ID != want {
+			t.Fatalf("figure[%d].ID = %d, want %d", i, f.ID, want)
 		}
 		if f.Title == "" {
 			t.Fatalf("figure %d has no title", f.ID)

@@ -31,7 +31,7 @@ type chromeEvent struct {
 }
 
 type chromeTrace struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
+	Events          []chromeEvent `json:"traceEvents"`
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 	// Truncated and Dropped surface ring overwrites in the file itself, so
 	// a truncated trace is self-describing (the bugfix contract: truncation
@@ -70,7 +70,7 @@ func chromeArgs(e Event) map[string]any {
 	case KindFailover:
 		return map[string]any{"n": e.A}
 	case KindRetune:
-		return map[string]any{"leaf": e.A, "chunk": e.B, "prev": e.C, "min_polls": e.D}
+		return map[string]any{"leaf": e.A, "chunk": e.B, "prev": e.C, "min_polls": e.D, "row": e.E}
 	default:
 		return nil
 	}
@@ -86,19 +86,19 @@ func (s Snapshot) ChromeTrace() ([]byte, error) {
 		Truncated:       s.Truncated(),
 		Dropped:         s.Dropped(),
 	}
-	t.TraceEvents = append(t.TraceEvents, chromeEvent{
+	t.Events = append(t.Events, chromeEvent{
 		Name: "process_name", Ph: "M", Pid: chromePid,
 		Args: map[string]any{"name": "hbc runtime"},
 	})
 	for _, l := range s.Lanes {
-		t.TraceEvents = append(t.TraceEvents, chromeEvent{
+		t.Events = append(t.Events, chromeEvent{
 			Name: "thread_name", Ph: "M", Pid: chromePid, Tid: l.Worker,
 			Args: map[string]any{"name": fmt.Sprintf("worker %d", l.Worker)},
 		})
 	}
 	for _, l := range s.Lanes {
 		for _, e := range l.Events {
-			t.TraceEvents = append(t.TraceEvents, chromeEvent{
+			t.Events = append(t.Events, chromeEvent{
 				Name: e.Kind.String(),
 				Ph:   "i",
 				S:    "t",

@@ -65,7 +65,9 @@ const (
 	KindFailover
 	// KindRetune is an Adaptive Chunking rescale: A is the leaf ordinal, B
 	// the new chunk size, C the previous chunk size, D the window's minimum
-	// observed poll count that drove the rescale.
+	// observed poll count that drove the rescale, E the root loop's index
+	// in flight (the row, for a CSR nest) — enough to rebuild the paper's
+	// Fig. 12 chunk-vs-row trace from the tracer alone.
 	KindRetune
 
 	numKinds = int(KindRetune) + 1

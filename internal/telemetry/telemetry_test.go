@@ -90,7 +90,7 @@ func buildSnapshot() Snapshot {
 	fixedClock(tr)
 	tr.Emit(0, KindBeat, 1, 0, 0, 0, 0)
 	tr.Emit(0, KindPromotion, PackLoopID(1, 0), PackLoopID(0, 0), 10, 15, 20)
-	tr.Emit(0, KindRetune, 0, 8, 4, 8, 0)
+	tr.Emit(0, KindRetune, 0, 8, 4, 8, 12)
 	tr.Emit(1, KindSteal, 0, 1500, 0, 0, 0)
 	tr.Emit(1, KindPark, 0, 0, 0, 0, 0)
 	tr.Emit(1, KindUnpark, UnparkWake, 0, 0, 0, 0)
@@ -126,7 +126,7 @@ func TestChromeTraceValid(t *testing.T) {
 		t.Fatal(err)
 	}
 	var parsed struct {
-		TraceEvents []struct {
+		Events []struct {
 			Name string         `json:"name"`
 			Ph   string         `json:"ph"`
 			Ts   float64        `json:"ts"`
@@ -143,7 +143,7 @@ func TestChromeTraceValid(t *testing.T) {
 	lastTs := map[int]float64{}
 	lanes := map[int]bool{}
 	kinds := map[string]int{}
-	for _, e := range parsed.TraceEvents {
+	for _, e := range parsed.Events {
 		if e.Pid != chromePid {
 			t.Fatalf("event %q has pid %d, want %d", e.Name, e.Pid, chromePid)
 		}

@@ -30,13 +30,12 @@ func TestSoakRandomizedNests(t *testing.T) {
 		case 0:
 			cfg.StaticChunk = int64(rng.Intn(30) + 1)
 		case 1:
-			cfg.NoChunking = true
+			cfg.Sched = "none"
 		case 2:
 			cfg.TPAL = true
 			cfg.StaticChunk = 8
 		}
 		cfg.Policy = PromotionPolicy(rng.Intn(3))
-		cfg.LatchPollEvery = int64(rng.Intn(4) + 1)
 
 		team := NewTeam(Workers(workers), Heartbeat(period), WithSignal(signal))
 		var covered atomic.Int64

@@ -33,7 +33,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 			},
 		},
 	}
-	prog := MustCompile(nest, Config{TraceEvents: true})
+	prog := MustCompile(nest, Config{})
 	r := team.Load(prog, nil)
 	defer r.Close()
 	for i := 0; i < 3; i++ {
