@@ -5,13 +5,15 @@
 //	hbcbench -fig 4                 # one figure
 //	hbcbench -all                   # Figs. 4–16 in order
 //	hbcbench -bench spmv-arrowhead  # one benchmark across the three engines
-//	hbcbench -sched -json out       # scheduler microbenchmarks -> BENCH_sched.json
 //
 // Common flags: -runs N (median of N, default 3), -scale F (input scale,
 // default 1.0), -workers N (default NumCPU), -heartbeat D (default 100µs),
 // -verify (check every output against the serial oracle), -v (progress),
-// -json DIR (write BENCH_figN.json / BENCH_sched.json artifacts for the CI
-// bench gate; see cmd/benchgate).
+// -csv DIR (also write each figure's table as CSV).
+//
+// The whole-stack benchmark is `go run ./benchmark`; the scheduler, policy
+// and slice-task microbenchmarks are `go test -bench` functions whose
+// allocation gates run as ordinary tests.
 package main
 
 import (
@@ -21,7 +23,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"testing"
 	"time"
 
 	"hbc/internal/core"
@@ -29,7 +30,6 @@ import (
 	"hbc/internal/omp"
 	"hbc/internal/pulse"
 	"hbc/internal/sched"
-	"hbc/internal/schedbench"
 	"hbc/internal/stats"
 	"hbc/internal/workloads"
 )
@@ -48,12 +48,6 @@ func main() {
 		verbose   = flag.Bool("v", false, "log progress")
 		bars      = flag.Bool("bars", false, "also render numeric columns as bar charts")
 		csvDir    = flag.String("csv", "", "also write each figure's table as CSV into this directory")
-		jsonDir   = flag.String("json", "", "write machine-readable BENCH_*.json artifacts into this directory")
-		schedRun  = flag.Bool("sched", false, "run the scheduler microbenchmark suite")
-		topology  = flag.String("topology", "", "with -sched: worker-group hierarchy for the stealing benchmarks (e.g. 2x4; default flat)")
-		policyRun = flag.Bool("policy", false, "run the schedule-policy matrix over the TPAL set")
-		codegen   = flag.Bool("codegen", false, "run the interpreted-vs-generated machinery overhead suite")
-		kernelDir = flag.String("kernels", "kernels", "with -codegen: directory holding the .hbk sources")
 	)
 	flag.Parse()
 
@@ -80,39 +74,14 @@ func main() {
 		for _, n := range workloads.Names() {
 			fmt.Printf("  %s\n", n)
 		}
-	case *schedRun:
-		topo, err := sched.ParseTopology(*topology)
-		if err != nil {
-			fatal(err)
-		}
-		schedCfg := schedbench.Config{Topology: topo}
-		// StealLatency's historical headline shape is a two-worker team;
-		// only an explicit -workers overrides it (the default value is
-		// NumCPU, meant for the workload harness, not this suite).
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "workers" {
-				schedCfg.Workers = *workers
-			}
-		})
-		if err := runSched(schedCfg, *workers, *jsonDir); err != nil {
-			fatal(err)
-		}
-	case *policyRun:
-		if err := runPolicy(cfg, *jsonDir); err != nil {
-			fatal(err)
-		}
-	case *codegen:
-		if err := runCodegen(*kernelDir, *runs, *jsonDir); err != nil {
-			fatal(err)
-		}
 	case *all:
 		for _, f := range harness.Figures() {
-			if err := runFigure(f.ID, cfg, *bars, *csvDir, *jsonDir); err != nil {
+			if err := runFigure(f.ID, cfg, *bars, *csvDir); err != nil {
 				fatal(err)
 			}
 		}
 	case *fig != 0:
-		if err := runFigure(*fig, cfg, *bars, *csvDir, *jsonDir); err != nil {
+		if err := runFigure(*fig, cfg, *bars, *csvDir); err != nil {
 			fatal(err)
 		}
 	case *bench != "":
@@ -125,7 +94,7 @@ func main() {
 	}
 }
 
-func runFigure(id int, cfg harness.Config, bars bool, csvDir, jsonDir string) error {
+func runFigure(id int, cfg harness.Config, bars bool, csvDir string) error {
 	t0 := time.Now()
 	tb, err := harness.Run(id, cfg)
 	if err != nil {
@@ -145,207 +114,8 @@ func runFigure(id int, cfg harness.Config, bars bool, csvDir, jsonDir string) er
 		}
 		fmt.Printf("(csv: %s)\n", path)
 	}
-	if jsonDir != "" {
-		if err := os.MkdirAll(jsonDir, 0o755); err != nil {
-			return err
-		}
-		path := filepath.Join(jsonDir, fmt.Sprintf("BENCH_fig%d.json", id))
-		if err := tb.WriteJSONFile(path); err != nil {
-			return err
-		}
-		fmt.Printf("(json: %s)\n", path)
-	}
 	fmt.Printf("(figure %d took %v)\n\n", id, time.Since(t0).Round(time.Millisecond))
 	return nil
-}
-
-// runSched runs the gated scheduler microbenchmarks through
-// testing.Benchmark and, with -json, writes BENCH_sched.json in the schema
-// cmd/benchgate consumes. The recorded topology lets the gate refuse to
-// ratio-compare suites measured under different hierarchies.
-func runSched(cfg schedbench.Config, workers int, jsonDir string) error {
-	suite := &stats.BenchSuite{
-		Suite:    "sched",
-		GoOS:     runtime.GOOS,
-		GoArch:   runtime.GOARCH,
-		Workers:  workers,
-		Topology: cfg.Topology.String(),
-	}
-	for _, nb := range schedbench.BenchListWith(cfg) {
-		r := testing.Benchmark(nb.Fn)
-		rec := stats.BenchRecord{
-			Name:        nb.Name,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			N:           r.N,
-		}
-		if len(r.Extra) > 0 {
-			rec.Extra = make(map[string]float64, len(r.Extra))
-			for k, v := range r.Extra {
-				rec.Extra[k] = v
-			}
-		}
-		suite.Benchmarks = append(suite.Benchmarks, rec)
-		fmt.Printf("%-18s %10.1f ns/op  %4d B/op  %3d allocs/op  (n=%d)",
-			nb.Name, rec.NsPerOp, rec.BytesPerOp, rec.AllocsPerOp, rec.N)
-		for k, v := range rec.Extra {
-			fmt.Printf("  %.2f %s", v, k)
-		}
-		fmt.Println()
-	}
-	if jsonDir != "" {
-		if err := os.MkdirAll(jsonDir, 0o755); err != nil {
-			return err
-		}
-		path := filepath.Join(jsonDir, "BENCH_sched.json")
-		if err := suite.WriteFile(path); err != nil {
-			return err
-		}
-		fmt.Printf("(json: %s)\n", path)
-	}
-	return nil
-}
-
-// runPolicy times every TPAL-set benchmark under every schedule in the
-// catalog. With -json it writes three artifacts: BENCH_policy.json (the
-// full bench/policy matrix, report-only), plus BENCH_policy_ac.json and
-// BENCH_policy_auto.json — the adaptive baseline and the online selector
-// measured in the SAME run, named identically so cmd/benchgate can ratio-
-// gate auto against adaptive. The auto runs also assert the selector
-// locked a winner; a selector still profiling after the measurement would
-// make the auto numbers meaningless.
-func runPolicy(cfg harness.Config, jsonDir string) error {
-	names := schedulePolicyNames()
-	// The selector needs one whole-nest run per candidate (ProfileRuns is
-	// forced to 1 below) before it locks; measure at least 3 runs past that.
-	autoRuns := len(names) - 1 + 3
-	if cfg.Runs > autoRuns {
-		autoRuns = cfg.Runs
-	}
-
-	newSuite := func(suite string) *stats.BenchSuite {
-		return &stats.BenchSuite{
-			Suite:   suite,
-			GoOS:    runtime.GOOS,
-			GoArch:  runtime.GOARCH,
-			Workers: cfg.Workers,
-		}
-	}
-	matrix := newSuite("policy")
-	acSuite := newSuite("policy-pair")
-	autoSuite := newSuite("policy-pair")
-
-	tb := stats.NewTable(fmt.Sprintf("schedule-policy matrix (scale %.2f, %d workers, median of %d)",
-		cfg.Scale, cfg.Workers, cfg.Runs),
-		append([]string{"bench"}, names...)...)
-	for _, bench := range workloads.TPALSet() {
-		w, err := workloads.New(bench)
-		if err != nil {
-			return err
-		}
-		w.Prepare(cfg.Scale)
-		row := []any{bench}
-		for _, pol := range names {
-			kind, err := core.ParseChunkKind(pol)
-			if err != nil {
-				return err
-			}
-			runs := cfg.Runs
-			if kind == core.ChunkAuto {
-				runs = autoRuns
-			}
-			team := sched.NewTeam(cfg.Workers)
-			drv := workloads.NewDriver(team, pulse.NewTimer(), cfg.Heartbeat, core.Options{
-				Chunk: core.ChunkPolicy{Kind: kind, ProfileRuns: 1},
-			})
-			if err := w.BindHBC(drv); err != nil {
-				return err
-			}
-			ds := make([]time.Duration, runs)
-			for i := range ds {
-				t0 := time.Now()
-				w.RunHBC(drv)
-				ds[i] = time.Since(t0)
-			}
-			if cfg.Verify {
-				if err := w.Verify(); err != nil {
-					drv.Close()
-					team.Close()
-					return fmt.Errorf("%s under %s: %w", bench, pol, err)
-				}
-			}
-			if kind == core.ChunkAuto {
-				st, ok := drv.Execs()[0].SelectorState()
-				if !ok {
-					drv.Close()
-					team.Close()
-					return fmt.Errorf("%s: auto policy exposes no selector state", bench)
-				}
-				if !st.Locked {
-					drv.Close()
-					team.Close()
-					return fmt.Errorf("%s: selector not locked after %d runs (profiled %d of %v)",
-						bench, runs, st.Profiled, st.Candidates)
-				}
-			}
-			drv.Close()
-			team.Close()
-
-			med := stats.Median(ds)
-			row = append(row, med)
-			rec := stats.BenchRecord{
-				Name:    bench + "/" + pol,
-				NsPerOp: float64(med.Nanoseconds()),
-				N:       runs,
-			}
-			matrix.Benchmarks = append(matrix.Benchmarks, rec)
-			pair := stats.BenchRecord{Name: bench, NsPerOp: rec.NsPerOp, N: runs}
-			switch kind {
-			case core.ChunkAdaptive:
-				acSuite.Benchmarks = append(acSuite.Benchmarks, pair)
-			case core.ChunkAuto:
-				autoSuite.Benchmarks = append(autoSuite.Benchmarks, pair)
-			}
-			if cfg.Out != nil {
-				fmt.Fprintf(cfg.Out, "policy %s/%s: %v\n", bench, pol, med)
-			}
-		}
-		tb.Row(row...)
-	}
-	fmt.Println(tb.String())
-	if jsonDir != "" {
-		if err := os.MkdirAll(jsonDir, 0o755); err != nil {
-			return err
-		}
-		for _, out := range []struct {
-			name  string
-			suite *stats.BenchSuite
-		}{
-			{"BENCH_policy.json", matrix},
-			{"BENCH_policy_ac.json", acSuite},
-			{"BENCH_policy_auto.json", autoSuite},
-		} {
-			path := filepath.Join(jsonDir, out.name)
-			if err := out.suite.WriteFile(path); err != nil {
-				return err
-			}
-			fmt.Printf("(json: %s)\n", path)
-		}
-	}
-	return nil
-}
-
-// schedulePolicyNames is the benchmark catalog: every schedule except
-// "none" (the unchunked baseline measured by the figures, not a policy).
-func schedulePolicyNames() []string {
-	var out []string
-	for _, n := range core.ScheduleNames() {
-		if n != "none" {
-			out = append(out, n)
-		}
-	}
-	return out
 }
 
 // runBench times one benchmark under serial, OpenMP dynamic, and HBC.

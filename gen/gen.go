@@ -159,33 +159,3 @@ func Int64s(a []int32) []int64 {
 	}
 	return out
 }
-
-// StaticRT is a SliceRT with a fixed chunk size and no heartbeat or
-// cancellation — the promotion-free harness for driving a generated slice
-// task directly, as the codegen microbenchmarks do to pin the monomorphic
-// entry's steady-state allocation count to zero.
-type StaticRT struct {
-	budget int64
-	chunk  int64
-}
-
-// NewStaticRT returns a StaticRT polling never, with the given chunk size
-// (<= 0 selects an effectively infinite chunk).
-func NewStaticRT(chunk int64) *StaticRT {
-	if chunk <= 0 {
-		chunk = 1 << 30
-	}
-	return &StaticRT{chunk: chunk}
-}
-
-// Budget returns the private iteration budget counter.
-func (r *StaticRT) Budget() *int64 { return &r.budget }
-
-// Chunk returns the fixed chunk size.
-func (r *StaticRT) Chunk() int64 { return r.chunk }
-
-// Poll always reports no heartbeat.
-func (r *StaticRT) Poll() bool { return false }
-
-// Aborted always reports no cancellation.
-func (r *StaticRT) Aborted() bool { return false }

@@ -86,3 +86,26 @@ func BenchmarkRunSeqVsStatic(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkPolicyNextChunk prices one chunk deal per schedule — the
+// per-refill fast path TestPolicyNextChunkAllocFree gates to 0 allocs/op.
+func BenchmarkPolicyNextChunk(b *testing.B) {
+	for _, name := range ScheduleNames() {
+		kind, err := ParseChunkKind(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			p := newPolicy(PolicyInfo{Workers: 1, Leaves: 1, Opts: Options{Chunk: ChunkPolicy{Kind: kind}}})
+			b.ReportAllocs()
+			var total int64
+			for i := 0; i < b.N; i++ {
+				total += p.NextChunk(0, 0, 1<<20)
+			}
+			chunkSink = total
+		})
+	}
+}
+
+// chunkSink keeps the benchmarked deals from being optimized away.
+var chunkSink int64

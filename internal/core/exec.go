@@ -111,7 +111,7 @@ func NewExec(prog *Program, team *sched.Team, src pulse.Source, period time.Dura
 	for i := range x.ac {
 		x.ac[i].init(x.prog.opts)
 	}
-	x.pol = NewPolicy(PolicyInfo{Workers: team.Size(), Leaves: len(prog.leaves), Opts: prog.opts})
+	x.pol = newPolicy(PolicyInfo{Workers: team.Size(), Leaves: len(prog.leaves), Opts: prog.opts})
 	if obs, ok := x.pol.(runObserver); ok {
 		x.obs = obs
 	}

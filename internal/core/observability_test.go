@@ -121,7 +121,7 @@ func TestOnHeartbeatOverflowKeepsMax(t *testing.T) {
 	opts := (Options{Chunk: ChunkPolicy{Kind: ChunkAdaptive}, TargetPolls: 4, WindowSize: 1}).withDefaults()
 	var a acWorker
 	a.init(opts)
-	pol := NewPolicy(PolicyInfo{Workers: 1, Leaves: 1, Opts: opts}).(*adaptivePolicy)
+	pol := newPolicy(PolicyInfo{Workers: 1, Leaves: 1, Opts: opts}).(*adaptivePolicy)
 	pol.slots.store(0, 0, math.MaxInt64/2)
 	a.polls = 1 << 32 // poll count large enough to overflow the product
 	m, leaf, done := a.onHeartbeat(0)

@@ -59,12 +59,10 @@ type PolicyInfo struct {
 	Opts Options
 }
 
-// NewPolicy builds the SchedPolicy selected by info.Opts.Chunk. Exported so
-// experiments and benchmarks (internal/schedbench) can exercise policies
-// against synthetic workloads without compiling a nest; Exec builds its own
-// instance per run context. Defaults are applied, so a zero Options is
-// usable.
-func NewPolicy(info PolicyInfo) SchedPolicy {
+// newPolicy builds the SchedPolicy selected by info.Opts.Chunk; Exec builds
+// its own instance per run context. Defaults are applied, so a zero Options
+// is usable.
+func newPolicy(info PolicyInfo) SchedPolicy {
 	info.Opts = info.Opts.withDefaults()
 	if info.Workers < 1 {
 		info.Workers = 1

@@ -13,7 +13,7 @@ import (
 
 func mkPolicy(t *testing.T, o Options, workers, leaves int) SchedPolicy {
 	t.Helper()
-	return NewPolicy(PolicyInfo{Workers: workers, Leaves: leaves, Opts: o})
+	return newPolicy(PolicyInfo{Workers: workers, Leaves: leaves, Opts: o})
 }
 
 // TestGuidedSeries pins guided self-scheduling's exponential decay:
@@ -112,6 +112,24 @@ func TestPolicyWorkerIsolation(t *testing.T) {
 		}
 		if got := p.NextChunk(1, 0, 1000); got != first {
 			t.Errorf("%v: worker 1 first deal = %d, want %d (independent of worker 0)", kind, got, first)
+		}
+	}
+}
+
+// TestPolicyNextChunkAllocFree is the policy fast-path allocation gate:
+// NextChunk runs on every chunk refill a leaf makes, so an allocation there
+// would charge every loop slice in the runtime. It holds for every
+// schedule, auto included, which delegates through its atomically
+// published active candidate.
+func TestPolicyNextChunkAllocFree(t *testing.T) {
+	for _, name := range ScheduleNames() {
+		kind, err := ParseChunkKind(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := mkPolicy(t, Options{Chunk: ChunkPolicy{Kind: kind}}, 1, 1)
+		if n := testing.AllocsPerRun(100, func() { p.NextChunk(0, 0, 1<<20) }); n != 0 {
+			t.Errorf("%s: NextChunk allocates %v objects/op, want 0", name, n)
 		}
 	}
 }
@@ -277,7 +295,7 @@ func TestCompileRejectsBadChunkConfigs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("zero static size rejected: %v", err)
 	}
-	if got := NewPolicy(PolicyInfo{Opts: p.Options()}).NextChunk(0, 0, 100); got != 1 {
+	if got := newPolicy(PolicyInfo{Opts: p.Options()}).NextChunk(0, 0, 100); got != 1 {
 		t.Fatalf("zero static size resolved to %d, want default 1", got)
 	}
 }

@@ -161,38 +161,6 @@ func TestFreeLatchRefusesIncomplete(t *testing.T) {
 	}
 }
 
-// TestSpawnJoinAllocFree is the alloc gate in unit-test form: after the
-// pools warm up, the owner spawn→execute→join path allocates nothing.
-func TestSpawnJoinAllocFree(t *testing.T) {
-	team := NewTeam(1)
-	defer team.Close()
-	err := team.Run(func(w *Worker) {
-		for i := 0; i < 8; i++ { // warm the free lists
-			l := w.NewLatch(1)
-			w.Spawn(l, func(w *Worker) {})
-			l.Done()
-			w.HelpUntil(l)
-			w.FreeLatch(l)
-		}
-		nop := func(w *Worker) {}
-		allocs := testing.AllocsPerRun(100, func() {
-			l := w.NewLatch(1)
-			w.Spawn(l, nop)
-			w.Spawn(l, nop)
-			w.Spawn(l, nop)
-			l.Done()
-			w.HelpUntil(l)
-			w.FreeLatch(l)
-		})
-		if allocs != 0 {
-			t.Errorf("owner fast path allocates %v objects/op, want 0", allocs)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestTaskPoolCounters checks hit/miss accounting on the task free list.
 func TestTaskPoolCounters(t *testing.T) {
 	team := NewTeam(1)

@@ -190,20 +190,6 @@ func TestRunOnClosedTeamReturnsError(t *testing.T) {
 	}
 }
 
-func BenchmarkSpawnJoinSingle(b *testing.B) {
-	team := NewTeam(1)
-	defer team.Close()
-	b.ReportAllocs()
-	team.Run(func(w *Worker) {
-		for i := 0; i < b.N; i++ {
-			l := NewLatch(1)
-			w.Spawn(l, func(w *Worker) {})
-			l.Done()
-			w.HelpUntil(l)
-		}
-	})
-}
-
 func TestPanicPropagatesThroughHelpUntil(t *testing.T) {
 	team := NewTeam(2)
 	defer team.Close()

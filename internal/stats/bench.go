@@ -1,14 +1,11 @@
 package stats
 
-// Machine-readable benchmark records: the JSON schema behind the
-// BENCH_*.json artifacts that cmd/hbcbench emits and the CI bench gate
-// (cmd/benchgate) compares against committed baselines.
+// Machine-readable benchmark records: the JSON schema of the
+// BENCH_serve.json artifact cmd/hbcload writes.
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
-	"sort"
 )
 
 // BenchRecord is one benchmark result.
@@ -19,36 +16,17 @@ type BenchRecord struct {
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	// N is the iteration count the measurement averaged over.
 	N int `json:"n"`
-	// Extra holds custom metrics (b.ReportMetric), e.g. "ns/steal".
+	// Extra holds custom metrics, e.g. "p99_ms".
 	Extra map[string]float64 `json:"extra,omitempty"`
 }
 
-// BenchSuite is a set of benchmark results plus the context needed to judge
-// comparability. Time comparisons across different machines are meaningless;
-// the gate only ratio-checks times between runs on the same runner, while
-// allocs/op gates are machine-independent.
+// BenchSuite is a set of benchmark results plus the platform they were
+// measured on.
 type BenchSuite struct {
-	Suite   string `json:"suite"`
-	GoOS    string `json:"goos"`
-	GoArch  string `json:"goarch"`
-	Workers int    `json:"workers,omitempty"`
-	// Topology is the worker-group hierarchy the topology-sensitive
-	// benchmarks ran under (sched.Topology spec, e.g. "flat" or "2x4").
-	// Empty on suites written before the field existed or by suites the
-	// topology doesn't apply to; ratio comparisons across differing
-	// topologies are apples to oranges and are skipped by cmd/benchgate.
-	Topology   string        `json:"topology,omitempty"`
+	Suite      string        `json:"suite"`
+	GoOS       string        `json:"goos"`
+	GoArch     string        `json:"goarch"`
 	Benchmarks []BenchRecord `json:"benchmarks"`
-}
-
-// Find returns the record with the given name, if present.
-func (s *BenchSuite) Find(name string) (BenchRecord, bool) {
-	for _, b := range s.Benchmarks {
-		if b.Name == name {
-			return b, true
-		}
-	}
-	return BenchRecord{}, false
 }
 
 // WriteFile writes the suite as indented JSON.
@@ -58,116 +36,4 @@ func (s *BenchSuite) WriteFile(path string) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// ReadBenchSuite parses a suite written by WriteFile.
-func ReadBenchSuite(path string) (*BenchSuite, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var s BenchSuite
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, fmt.Errorf("stats: parsing %s: %w", path, err)
-	}
-	return &s, nil
-}
-
-// TableArtifact is the JSON shape of a figure-table artifact
-// (BENCH_figN.json): the rendered cells plus enough context to re-plot.
-type TableArtifact struct {
-	Title   string     `json:"title"`
-	Headers []string   `json:"headers"`
-	Rows    [][]string `json:"rows"`
-}
-
-// WriteJSONFile writes the table as a machine-readable artifact.
-func (t *Table) WriteJSONFile(path string) error {
-	art := TableArtifact{Title: t.Title, Headers: t.Headers, Rows: make([][]string, len(t.rows))}
-	for i, r := range t.rows {
-		art.Rows[i] = append([]string(nil), r...)
-	}
-	data, err := json.MarshalIndent(art, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// CompareBenchSuites checks cur against base and returns a human-readable
-// report plus the list of failures.
-//
-// Two gates:
-//   - zeroAlloc names benchmarks that must report 0 allocs/op in cur
-//     (machine-independent; this is the fast-path regression gate).
-//   - maxRatio > 0 additionally fails any benchmark whose ns/op exceeds
-//     base by more than the ratio. Only meaningful when base and cur were
-//     produced on the same machine; pass 0 to disable.
-//
-// Benchmarks present in only one suite are reported but not failed, so
-// adding a benchmark does not break the gate before a baseline lands.
-func CompareBenchSuites(base, cur *BenchSuite, maxRatio float64, zeroAlloc []string) (report string, failures []string) {
-	mustZero := map[string]bool{}
-	for _, n := range zeroAlloc {
-		mustZero[n] = true
-	}
-	// Time ratios measured under different worker-group hierarchies compare
-	// apples to oranges (a cross-group steal is supposed to cost more than a
-	// flat one); drop the time gate and say so. Alloc gates stay: 0 allocs/op
-	// is 0 allocs/op under any topology. A baseline written before the
-	// topology field existed reads as "" and is treated the same way.
-	topoNote := ""
-	if maxRatio > 0 && base.Topology != cur.Topology {
-		topoNote = fmt.Sprintf(
-			"topology mismatch (baseline %q vs current %q): time-ratio gate skipped\n",
-			base.Topology, cur.Topology)
-		maxRatio = 0
-	}
-	names := map[string]bool{}
-	for _, b := range base.Benchmarks {
-		names[b.Name] = true
-	}
-	for _, b := range cur.Benchmarks {
-		names[b.Name] = true
-	}
-	sorted := make([]string, 0, len(names))
-	for n := range names {
-		sorted = append(sorted, n)
-	}
-	sort.Strings(sorted)
-
-	out := topoNote
-	for _, name := range sorted {
-		b, inBase := base.Find(name)
-		c, inCur := cur.Find(name)
-		switch {
-		case !inCur:
-			out += fmt.Sprintf("%-24s missing from current run (baseline only)\n", name)
-			continue
-		case !inBase:
-			out += fmt.Sprintf("%-24s new (no baseline): %.1f ns/op, %d allocs/op\n",
-				name, c.NsPerOp, c.AllocsPerOp)
-		default:
-			ratio := 0.0
-			if b.NsPerOp > 0 {
-				ratio = c.NsPerOp / b.NsPerOp
-			}
-			out += fmt.Sprintf("%-24s %.1f -> %.1f ns/op (x%.2f), %d -> %d allocs/op\n",
-				name, b.NsPerOp, c.NsPerOp, ratio, b.AllocsPerOp, c.AllocsPerOp)
-			if maxRatio > 0 && b.NsPerOp > 0 && ratio > maxRatio {
-				failures = append(failures,
-					fmt.Sprintf("%s: ns/op regressed x%.2f (limit x%.2f)", name, ratio, maxRatio))
-			}
-		}
-		if mustZero[name] && c.AllocsPerOp != 0 {
-			failures = append(failures,
-				fmt.Sprintf("%s: %d allocs/op on the fast path, want 0", name, c.AllocsPerOp))
-		}
-		delete(mustZero, name)
-	}
-	for n := range mustZero {
-		failures = append(failures, fmt.Sprintf("%s: required zero-alloc benchmark missing from current run", n))
-	}
-	sort.Strings(failures)
-	return out, failures
 }

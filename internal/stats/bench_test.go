@@ -1,93 +1,33 @@
 package stats
 
 import (
+	"encoding/json"
+	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
-func suite(recs ...BenchRecord) *BenchSuite {
-	return &BenchSuite{Suite: "sched", GoOS: "linux", GoArch: "amd64", Benchmarks: recs}
-}
-
 func TestBenchSuiteRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_sched.json")
-	s := suite(
-		BenchRecord{Name: "SpawnJoin", NsPerOp: 150.5, AllocsPerOp: 0, BytesPerOp: 0, N: 1000000},
-		BenchRecord{Name: "StealLatency", NsPerOp: 50000, AllocsPerOp: 0, N: 5000,
-			Extra: map[string]float64{"ns/steal": 87.6}},
-	)
+	path := filepath.Join(t.TempDir(), "BENCH_serve.json")
+	s := &BenchSuite{Suite: "serve", GoOS: "linux", GoArch: "amd64", Benchmarks: []BenchRecord{
+		{Name: "Serve/closed", NsPerOp: 150.5, N: 300},
+		{Name: "Serve/open", NsPerOp: 50000, N: 5000, Extra: map[string]float64{"p99_ms": 87.6}},
+	}}
 	if err := s.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBenchSuite(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Suite != "sched" || len(got.Benchmarks) != 2 {
+	var got BenchSuite
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Suite != "serve" || len(got.Benchmarks) != 2 {
 		t.Fatalf("round trip mangled the suite: %+v", got)
 	}
-	r, ok := got.Find("StealLatency")
-	if !ok || r.Extra["ns/steal"] != 87.6 {
+	if r := got.Benchmarks[1]; r.Extra["p99_ms"] != 87.6 {
 		t.Fatalf("extra metrics lost: %+v", r)
-	}
-}
-
-func TestComparePassesWithinRatio(t *testing.T) {
-	base := suite(BenchRecord{Name: "SpawnJoin", NsPerOp: 100, AllocsPerOp: 0})
-	cur := suite(BenchRecord{Name: "SpawnJoin", NsPerOp: 120, AllocsPerOp: 0})
-	report, fails := CompareBenchSuites(base, cur, 1.5, []string{"SpawnJoin"})
-	if len(fails) != 0 {
-		t.Fatalf("unexpected failures: %v\n%s", fails, report)
-	}
-	if !strings.Contains(report, "SpawnJoin") {
-		t.Fatalf("report missing benchmark line:\n%s", report)
-	}
-}
-
-func TestCompareFailsOnTimeRegression(t *testing.T) {
-	base := suite(BenchRecord{Name: "SpawnJoin", NsPerOp: 100})
-	cur := suite(BenchRecord{Name: "SpawnJoin", NsPerOp: 200})
-	_, fails := CompareBenchSuites(base, cur, 1.5, nil)
-	if len(fails) != 1 || !strings.Contains(fails[0], "regressed") {
-		t.Fatalf("want one regression failure, got %v", fails)
-	}
-}
-
-func TestCompareTimeGateDisabled(t *testing.T) {
-	base := suite(BenchRecord{Name: "SpawnJoin", NsPerOp: 100})
-	cur := suite(BenchRecord{Name: "SpawnJoin", NsPerOp: 1000})
-	if _, fails := CompareBenchSuites(base, cur, 0, nil); len(fails) != 0 {
-		t.Fatalf("maxRatio=0 must disable the time gate, got %v", fails)
-	}
-}
-
-func TestCompareFailsOnFastPathAllocs(t *testing.T) {
-	base := suite(BenchRecord{Name: "PromotionTriple", NsPerOp: 300, AllocsPerOp: 0})
-	cur := suite(BenchRecord{Name: "PromotionTriple", NsPerOp: 300, AllocsPerOp: 2})
-	_, fails := CompareBenchSuites(base, cur, 1.5, []string{"PromotionTriple"})
-	if len(fails) != 1 || !strings.Contains(fails[0], "allocs/op") {
-		t.Fatalf("want one alloc failure, got %v", fails)
-	}
-}
-
-func TestCompareFailsOnMissingZeroAllocBench(t *testing.T) {
-	base := suite(BenchRecord{Name: "SpawnJoin", NsPerOp: 100})
-	cur := suite()
-	_, fails := CompareBenchSuites(base, cur, 0, []string{"SpawnJoin"})
-	if len(fails) != 1 || !strings.Contains(fails[0], "missing") {
-		t.Fatalf("want one missing-benchmark failure, got %v", fails)
-	}
-}
-
-func TestCompareNewBenchmarkIsNotAFailure(t *testing.T) {
-	base := suite()
-	cur := suite(BenchRecord{Name: "StealLatency", NsPerOp: 50000})
-	report, fails := CompareBenchSuites(base, cur, 1.5, nil)
-	if len(fails) != 0 {
-		t.Fatalf("new benchmark must not fail the gate: %v", fails)
-	}
-	if !strings.Contains(report, "new (no baseline)") {
-		t.Fatalf("report should flag the new benchmark:\n%s", report)
 	}
 }

@@ -30,7 +30,7 @@
 // A nil *Tracer is a valid, disabled tracer: every method is a no-op, so
 // call sites in the scheduler and runtime gate tracing on a single pointer
 // test and the telemetry-off fast path stays allocation-free (enforced by
-// cmd/benchgate in CI).
+// the sched package's TestSpawnJoinAllocFree, traced and untraced).
 package telemetry
 
 import (
