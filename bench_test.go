@@ -3,7 +3,7 @@ package hbc
 // Benchmark harness: one testing.B family per paper figure/table, runnable
 // with `go test -bench=. -benchmem`. Each family reproduces the figure's
 // engine matrix at bench scale (inputs shrunk ~10x from the CLI defaults so
-// the full sweep stays tractable); `go run ./cmd/hbcbench -fig N` runs the
+// the full sweep stays tractable); `go run ./cmd/hbcc fig -fig N` runs the
 // full-scale versions with median-of-runs reporting.
 
 import (

@@ -78,7 +78,7 @@ func main() {
 		finalSnap = flag.String("final-snapshot", "", "write the final post-drain registry snapshot (expvar JSON) to this file")
 		leakGrace = flag.Duration("leak-grace", 3*time.Second, "how long to wait for goroutines to settle before the leak check")
 		maxBody   = flag.Int64("max-body", 1<<20, "request body byte limit; oversized POSTs get 413")
-		policyF   = flag.String("policy-file", "", "tunefile of per-kernel scheduling policies (from hbctune -policies -save)")
+		policyF   = flag.String("policy-file", "", "tunefile of per-kernel scheduling policies (from hbcc tune -policies -save)")
 	)
 	flag.Parse()
 

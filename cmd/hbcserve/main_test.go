@@ -135,9 +135,11 @@ func TestReadyzSplitFromHealthz(t *testing.T) {
 	}
 
 	// One in-flight plus a full queue of one: the next request would be shed.
-	for i := 0; i < 2; i++ {
-		go pool.Do(context.Background(), serve.Request{Kernel: "gate"})
-	}
+	// The second request goes out only once the shard has popped the first;
+	// sent together, both can reach the depth-1 queue and the second is shed.
+	go pool.Do(context.Background(), serve.Request{Kernel: "gate"})
+	waitFor(t, func() bool { return pool.Stats().Inflight == 1 })
+	go pool.Do(context.Background(), serve.Request{Kernel: "gate"})
 	waitFor(t, func() bool { return pool.Stats().QueueDepth == 1 })
 
 	if s := status("/healthz"); s != http.StatusOK {

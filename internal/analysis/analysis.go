@@ -19,7 +19,7 @@
 //     only header names and enclosing parallel loop variables.
 //
 // The same rules run in cmd/hbcc (the -vet flag, on by default), in
-// cmd/hbvet (a standalone tree checker), and — for hand-built nests on the
+// `hbcc vet` (a standalone tree checker), and — for hand-built nests on the
 // Go API path — as VetNest inside hbc.Compile.
 package analysis
 
@@ -387,7 +387,7 @@ func (v *vetter) datasetScalars(x *frontend.MatrixDecl) (rows, nnz *int64) {
 // --- loop structure -----------------------------------------------------------
 
 // loop vets one parallel loop: bounds, body shape, reduction wiring, then
-// recurses. Mirrors the shape rules of frontend.Compile so hbvet reports
+// recurses. Mirrors the shape rules of frontend.Compile so `hbcc vet` reports
 // them without materializing datasets.
 func (v *vetter) loop(l *frontend.LoopStmt) {
 	// Parallel bounds are evaluated against the enclosing parallel indices

@@ -5,7 +5,7 @@ package analysis
 // cold-start chunk of 1, so the first heartbeat window already runs near
 // the right granularity — the LB4OMP observation that schedule selection
 // should be seeded with static cost knowledge, not learned from scratch)
-// and hbctune -explain, which prints them next to measured results so
+// and hbcc tune -explain, which prints them next to measured results so
 // mispredictions are visible.
 //
 // The model is deliberately coarse: unit weights per scalar op, a flat

@@ -18,8 +18,8 @@ package analysis
 //
 // Consumers: hbc.Compile caches Facts on the compiled Program and seeds
 // Adaptive Chunking's initial chunk from the leaf cost estimate;
-// internal/serve gates result memoization on Pure; hbvet -facts dumps the
-// record as JSON; hbctune -explain prints the static estimates next to
+// internal/serve gates result memoization on Pure; hbcc vet -facts dumps the
+// record as JSON; hbcc tune -explain prints the static estimates next to
 // measured tuning results. DESIGN.md §12 documents the schema.
 
 import (

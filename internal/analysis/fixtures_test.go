@@ -10,9 +10,9 @@ import (
 
 // TestBadFixtures runs the analyzer over the known-bad kernels in
 // kernels/bad/ and asserts the exact rule and line of each expected error.
-// The same fixtures are verified by `hbvet` via their `# expect:` markers;
+// The same fixtures are verified by `hbcc vet` via their `# expect:` markers;
 // this table pins them down independently so an analyzer regression fails
-// `go test` even if hbvet's marker matching were broken.
+// `go test` even if `hbcc vet`'s marker matching were broken.
 func TestBadFixtures(t *testing.T) {
 	cases := []struct {
 		file string

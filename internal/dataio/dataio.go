@@ -1,6 +1,6 @@
 // Package dataio persists the synthetic datasets (matrices, tensors,
 // graphs) to disk, mirroring the paper artifact's download-once workflow
-// with a generate-once one: large inputs can be produced by cmd/hbcgen,
+// with a generate-once one: large inputs can be produced by `hbcc data`,
 // saved, and reloaded by later runs so every experiment sees bit-identical
 // data without regeneration cost.
 //

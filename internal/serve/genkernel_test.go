@@ -2,7 +2,7 @@ package serve
 
 // Internal tests for KernelAuto's backend selection: the exported behavior
 // (same results either way) is covered by the pool tests; here we assert
-// WHICH backend each case picks, which needs the unexported runnable types.
+// WHICH backend each case picks, which needs the unexported runnable type.
 
 import (
 	"context"
@@ -31,9 +31,9 @@ func autoBuild(t *testing.T, path string) Runnable {
 // path's answer.
 func TestKernelAutoPicksGenerated(t *testing.T) {
 	r := autoBuild(t, filepath.Join("..", "..", "kernels", "dotnorm.hbk"))
-	g, ok := r.(*genRunnable)
-	if !ok {
-		t.Fatalf("dotnorm runnable is %T, want *genRunnable (artifact registered and current)", r)
+	g, ok := r.(*kernelRunnable)
+	if !ok || !g.generated {
+		t.Fatalf("dotnorm runnable is %T %+v, want the generated backend (artifact registered and current)", r, r)
 	}
 	if g.facts == nil {
 		t.Fatal("generated runnable lost its analysis facts (purity gate would break)")
@@ -60,8 +60,8 @@ func TestKernelAutoFallsBackOnStaleSHA(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := autoBuild(t, path)
-	if _, ok := r.(*kernelRunnable); !ok {
-		t.Fatalf("edited dotnorm runnable is %T, want *kernelRunnable (stale artifact must not run)", r)
+	if k, ok := r.(*kernelRunnable); !ok || k.generated {
+		t.Fatalf("edited dotnorm runnable is %T %+v, want the interpreter (stale artifact must not run)", r, r)
 	}
 }
 
@@ -74,7 +74,7 @@ func TestKernelAutoFallsBackOnUnregistered(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := autoBuild(t, path)
-	if _, ok := r.(*kernelRunnable); !ok {
-		t.Fatalf("unregistered kernel runnable is %T, want *kernelRunnable", r)
+	if k, ok := r.(*kernelRunnable); !ok || k.generated {
+		t.Fatalf("unregistered kernel runnable is %T %+v, want the interpreter", r, r)
 	}
 }

@@ -1,18 +1,13 @@
 package serve
 
-// Tuned-policy loading: the auto-tuner (cmd/hbctune -policies -save)
+// Tuned-policy loading: the auto-tuner (`hbcc tune -policies -save`)
 // persists each kernel's winning scheduling policy to a tunefile;
 // WithTunedPolicies hands that file to KernelFile/KernelAuto so the serve
 // layer compiles every kernel with its tuned schedule instead of the
 // default. Kernels absent from the file keep the default policy, so a
 // partial tunefile is always safe to ship.
 
-import (
-	"fmt"
-
-	"hbc"
-	"hbc/internal/tunefile"
-)
+import "hbc/internal/tunefile"
 
 // KernelOption configures how KernelFile / KernelAuto build a kernel.
 type KernelOption func(*kernelOpts)
@@ -34,39 +29,6 @@ func buildKernelOpts(opts []KernelOption) kernelOpts {
 // on the hbc.Config before compilation. A nil file is a no-op.
 func WithTunedPolicies(f *tunefile.File) KernelOption {
 	return func(o *kernelOpts) { o.tuned = f }
-}
-
-// apply overlays the tuned choice for kernel (if any) onto cfg. Entries
-// were validated at Load time, but a File assembled programmatically may
-// not have been, so the choice is re-validated here.
-func (o kernelOpts) apply(cfg hbc.Config, kernel string) (hbc.Config, error) {
-	if o.tuned == nil {
-		return cfg, nil
-	}
-	c, ok := o.tuned.Get(kernel)
-	if !ok {
-		return cfg, nil
-	}
-	if err := c.Validate(); err != nil {
-		return cfg, fmt.Errorf("serve: tuned policy for %q: %w", kernel, err)
-	}
-	cfg.Sched = c.Policy
-	if c.StaticChunk > 0 {
-		cfg.StaticChunk = c.StaticChunk
-	}
-	if c.MinChunk > 0 {
-		cfg.MinChunk = c.MinChunk
-	}
-	if c.TargetPolls > 0 {
-		cfg.TargetPolls = c.TargetPolls
-	}
-	if c.WindowSize > 0 {
-		cfg.WindowSize = c.WindowSize
-	}
-	if c.ProfileRuns > 0 {
-		cfg.SchedProfileRuns = c.ProfileRuns
-	}
-	return cfg, nil
 }
 
 // ScheduleProvider is optionally implemented by a Runnable whose compiled

@@ -32,7 +32,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"runtime"
 	"sort"
 	"sync"
@@ -41,7 +40,6 @@ import (
 
 	"hbc"
 	"hbc/internal/analysis"
-	"hbc/internal/frontend"
 	"hbc/internal/telemetry"
 )
 
@@ -831,60 +829,4 @@ func (p *Pool) registerMetrics(reg *telemetry.Registry) {
 			ts.lat.Collect(n+"_latency", emit)
 		}
 	})
-}
-
-// kernelRunnable adapts a compiled .hbk kernel to Runnable: reset the
-// shard-local data environment, then run under the request context. It also
-// carries the kernel's analysis facts (FactsProvider) so the pool can gate
-// memoization on proven purity.
-type kernelRunnable struct {
-	r     *hbc.Runner
-	env   *frontend.Env
-	facts *analysis.Facts
-	sched string
-}
-
-func (k *kernelRunnable) RunCtx(ctx context.Context) (any, error) {
-	k.env.Reset()
-	return k.r.RunCtx(ctx)
-}
-
-func (k *kernelRunnable) Close() { k.r.Close() }
-
-func (k *kernelRunnable) Facts() *analysis.Facts { return k.facts }
-
-func (k *kernelRunnable) Schedule() string { return k.sched }
-
-// KernelFile returns a BuildFunc that parses, vets, and compiles the .hbk
-// kernel file independently on each shard — each shard materializes its own
-// data environment, so shards share no mutable kernel state. The fact
-// engine runs once per shard too; its facts feed the runtime's initial
-// chunk hint and the pool's purity gate. Options (WithTunedPolicies) can
-// overlay a persisted scheduling choice onto the compile config.
-func KernelFile(path string, opts ...KernelOption) BuildFunc {
-	ko := buildKernelOpts(opts)
-	return func(_ int, team *hbc.Team) (Runnable, error) {
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		k, err := frontend.ParseFile(path, string(src))
-		if err != nil {
-			return nil, err
-		}
-		facts := analysis.BuildFacts(path, k)
-		c, err := frontend.Compile(k)
-		if err != nil {
-			return nil, err
-		}
-		cfg, err := ko.apply(hbc.Config{Facts: facts}, k.Name)
-		if err != nil {
-			return nil, err
-		}
-		prog, err := hbc.Compile(c.Nest, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &kernelRunnable{r: team.Load(prog, c.Env), env: c.Env, facts: facts, sched: prog.Schedule()}, nil
-	}
 }

@@ -1,7 +1,7 @@
 // Package tunefile persists per-kernel scheduling-policy choices — the
-// contract between the auto-tuner (cmd/hbctune -policies -save) and the
+// contract between the auto-tuner (`hbcc tune -policies -save`) and the
 // serve layer (serve.WithTunedPolicies), which loads the file and applies
-// each kernel's winning policy when it compiles that kernel.
+// each kernel's winning policy (Choice.Apply) when it compiles that kernel.
 //
 // The file is plain JSON, keyed by kernel name:
 //
@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"os"
 
+	"hbc"
 	"hbc/internal/core"
 )
 
@@ -63,34 +64,31 @@ func (c Choice) Validate() error {
 	return nil
 }
 
-// Options applies the choice onto core options, for consumers that drive
-// the core runtime directly (benchmarks, the tuner itself). Zero-valued
-// knobs keep whatever o already holds.
-func (c Choice) Options(o core.Options) (core.Options, error) {
+// Apply overlays the choice onto cfg: the policy always, each knob only
+// when > 0, so zero-valued knobs keep whatever cfg already holds. Load
+// validated every entry, but a File assembled in code may not have been,
+// so the choice is validated here too.
+func (c Choice) Apply(cfg hbc.Config) (hbc.Config, error) {
 	if err := c.Validate(); err != nil {
-		return o, err
+		return cfg, err
 	}
-	kind, err := core.ParseChunkKind(c.Policy)
-	if err != nil {
-		return o, err
-	}
-	o.Chunk.Kind = kind
+	cfg.Sched = c.Policy
 	if c.StaticChunk > 0 {
-		o.Chunk.Size = c.StaticChunk
+		cfg.StaticChunk = c.StaticChunk
 	}
 	if c.MinChunk > 0 {
-		o.Chunk.MinChunk = c.MinChunk
-	}
-	if c.ProfileRuns > 0 {
-		o.Chunk.ProfileRuns = c.ProfileRuns
+		cfg.MinChunk = c.MinChunk
 	}
 	if c.TargetPolls > 0 {
-		o.TargetPolls = c.TargetPolls
+		cfg.TargetPolls = c.TargetPolls
 	}
 	if c.WindowSize > 0 {
-		o.WindowSize = c.WindowSize
+		cfg.WindowSize = c.WindowSize
 	}
-	return o, nil
+	if c.ProfileRuns > 0 {
+		cfg.SchedProfileRuns = c.ProfileRuns
+	}
+	return cfg, nil
 }
 
 // File is a set of per-kernel choices.
@@ -112,8 +110,11 @@ func (f *File) Set(kernel string, c Choice) {
 	f.Kernels[kernel] = c
 }
 
-// Get returns kernel's choice, if present.
+// Get returns kernel's choice, if present. A nil file holds no choices.
 func (f *File) Get(kernel string) (Choice, bool) {
+	if f == nil {
+		return Choice{}, false
+	}
 	c, ok := f.Kernels[kernel]
 	return c, ok
 }

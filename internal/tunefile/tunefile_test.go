@@ -5,8 +5,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"hbc/internal/core"
 )
 
 func TestRoundTrip(t *testing.T) {
@@ -56,22 +54,5 @@ func TestLoadRejectsBadFiles(t *testing.T) {
 		if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
 		}
-	}
-}
-
-func TestChoiceOptions(t *testing.T) {
-	base := core.Options{TargetPolls: 4, WindowSize: 8}
-	o, err := Choice{Policy: "trapezoid", MinChunk: 8, TargetPolls: 16}.Options(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.Chunk.Kind != core.ChunkTrapezoid || o.Chunk.MinChunk != 8 {
-		t.Fatalf("applied options = %+v", o.Chunk)
-	}
-	if o.TargetPolls != 16 || o.WindowSize != 8 {
-		t.Fatalf("knobs = target %d window %d, want 16/8", o.TargetPolls, o.WindowSize)
-	}
-	if _, err := (Choice{Policy: "nope"}).Options(base); err == nil {
-		t.Fatal("unknown policy accepted")
 	}
 }
