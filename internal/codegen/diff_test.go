@@ -182,7 +182,8 @@ func TestDifferentialSerial(t *testing.T) {
 // TestDifferentialHeartbeat runs both paths through the heartbeat engine
 // under a deterministic configuration (1 worker, never-firing source) —
 // the generated path through its slice-task entries — and requires
-// bit-identical results.
+// bit-identical results and the same number of polls: the emitted slice
+// and the generic leaf driver spend and poll the budget by one rule.
 func TestDifferentialHeartbeat(t *testing.T) {
 	for _, name := range goodKernels {
 		t.Run(name, func(t *testing.T) {
@@ -194,13 +195,14 @@ func TestDifferentialHeartbeat(t *testing.T) {
 			envG := gk.NewEnv()
 			seedFloats(t, k, 23, c.Env, envG)
 
-			run := func(nestEnv any, prog *core.Program) any {
+			run := func(nestEnv any, prog *core.Program) (any, int64) {
 				team := sched.NewTeam(1)
 				defer team.Close()
-				x := core.NewExec(prog, team, pulse.NewNever(), time.Millisecond, nestEnv)
+				src := pulse.NewNever()
+				x := core.NewExec(prog, team, src, time.Millisecond, nestEnv)
 				x.Start()
 				defer x.Stop()
-				return x.Run()
+				return x.Run(), src.Stats().Polls
 			}
 			progI, err := core.Compile(c.Nest, core.Options{})
 			if err != nil {
@@ -210,8 +212,11 @@ func TestDifferentialHeartbeat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := run(c.Env, progI)
-			gotG := run(envG, progG)
+			got, polls := run(c.Env, progI)
+			gotG, pollsG := run(envG, progG)
+			if polls != pollsG {
+				t.Fatalf("polls: %d interpreted, %d generated", polls, pollsG)
+			}
 
 			if v, ok := rootValue(got); ok {
 				vg, okg := rootValue(gotG)

@@ -39,12 +39,6 @@ type acWorker struct {
 	// polls counts polling-function invocations since the last detected
 	// heartbeat (the paper's per-worker poll counter).
 	polls int64
-	// lastLeaf is the ordinal of the leaf this worker most recently polled
-	// from, or -1 before the first leaf poll. Heartbeats detected at
-	// interior latches attribute their completed window to this leaf: the
-	// latch poll proves the worker is between leaf chunks of exactly this
-	// loop, so its chunk size is the one the window measured.
-	lastLeaf int32
 	// window logs the poll count of each heartbeat interval in the current
 	// window.
 	window []int64
@@ -56,17 +50,6 @@ func (a *acWorker) init(o Options) {
 	a.window = make([]int64, o.WindowSize)
 	a.wfill = 0
 	a.polls = 0
-	a.lastLeaf = -1
-}
-
-// notePoll records one polling-function invocation: the per-interval poll
-// count advances, and a leaf poll refreshes lastLeaf so a later
-// latch-detected window completion can be attributed to it.
-func (a *acWorker) notePoll(ord int) {
-	a.polls++
-	if ord >= 0 {
-		a.lastLeaf = int32(ord)
-	}
 }
 
 // rescaleChunk computes chunk * m / target, clamped to [1, max], without
@@ -95,24 +78,16 @@ func rescaleChunk(chunk, m, target, max int64) int64 {
 }
 
 // onHeartbeat logs the interval's poll count and reports when a window
-// completes. ord is the polling leaf's ordinal, or -1 when the detecting
-// poll sat at an interior latch. done is true at the end of each window,
-// with m the window's minimum poll count and leaf the ordinal the window is
-// attributed to: the detecting leaf when ord >= 0, otherwise the most
-// recently active leaf (lastLeaf). leaf is -1 only when no leaf has polled
-// yet, in which case the caller drops the window — there is no chunk the
-// measurement describes.
-//
-// Attributing latch-detected windows to lastLeaf fixes a stall: previously
-// a window whose closing beat landed on an interior latch was discarded
-// outright, so latch-heavy nests (spmv-arrowhead's tiny inner rows) could
-// lose every window and never adapt.
-func (a *acWorker) onHeartbeat(ord int) (m int64, leaf int, done bool) {
+// completes, with m the window's minimum poll count. The caller attributes
+// the window to the leaf whose budget the detecting poll spent: every poll,
+// leaf or latch, sits where a budget ran out, so the window measures that
+// leaf's chunk.
+func (a *acWorker) onHeartbeat() (m int64, done bool) {
 	a.window[a.wfill] = a.polls
 	a.polls = 0
 	a.wfill++
 	if a.wfill < len(a.window) {
-		return 0, -1, false
+		return 0, false
 	}
 	a.wfill = 0
 	m = a.window[0]
@@ -121,11 +96,7 @@ func (a *acWorker) onHeartbeat(ord int) (m int64, leaf int, done bool) {
 			m = v
 		}
 	}
-	leaf = ord
-	if leaf < 0 {
-		leaf = int(a.lastLeaf)
-	}
-	return m, leaf, true
+	return m, true
 }
 
 // Chunks returns worker w's current chunk size for each leaf, for

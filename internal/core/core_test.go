@@ -464,12 +464,16 @@ func TestPromotionStatsByLevel(t *testing.T) {
 // --- chunking ---------------------------------------------------------------------
 
 // TestChunkSizeTransferring checks that with static chunk S, polls happen
-// exactly every S leaf iterations even when leaf invocations are shorter
-// than S — the budget must carry across invocations within a task.
+// exactly every S units of the task's budget even when leaf invocations are
+// shorter than S — the budget must carry across invocations within a task,
+// and interior latches spend from it instead of polling per iteration.
 func TestChunkSizeTransferring(t *testing.T) {
-	// 10 rows of exactly 3 nonzeros = 30 leaf iterations; chunk 7 → polls at
-	// iteration 7,14,21,28 → 4 leaf polls. Interior latch polls add 10 more
-	// (one per row). Use a Manual source to count polls exactly.
+	// 10 rows of exactly 3 nonzeros = 30 leaf iterations; chunk 7 → the
+	// budget runs out at leaf iterations 7, 14, 21 and 28. Iterations 7, 14
+	// and 28 fall inside a row, so the leaf polls there. Iteration 21 ends
+	// row 7, so that chunk leaves R at 0 and row 7's latch takes the poll.
+	// No row is empty, so no latch debits a unit of its own. Use a
+	// never-firing source to count polls exactly.
 	env := &csrEnv{rowPtr: make([]int64, 11), out: make([]int64, 10)}
 	for i := 0; i < 10; i++ {
 		for k := 0; k < 3; k++ {
@@ -486,19 +490,21 @@ func TestChunkSizeTransferring(t *testing.T) {
 	src := pulse.NewNever()
 	runWith(t, p, src, 1, env)
 	st := src.Stats()
-	// 4 leaf polls + 10 latch polls.
-	if st.Polls != 14 {
-		t.Fatalf("polls = %d, want 14 (4 leaf + 10 latch)", st.Polls)
+	if st.Polls != 4 {
+		t.Fatalf("polls = %d, want 4 (3 leaf + 1 latch)", st.Polls)
 	}
 }
 
+// TestChunkNonePollsEveryIteration checks the no-chunking ablation: a poll
+// after every iteration except the last, whose chunk ends the root's
+// invocation and leaves nothing to promote.
 func TestChunkNonePollsEveryIteration(t *testing.T) {
 	data := make([]int64, 100)
 	p := MustCompile(sumNest("sum"), Options{Chunk: ChunkPolicy{Kind: ChunkNone}})
 	src := pulse.NewNever()
 	runWith(t, p, src, 1, &sumEnv{data: data})
-	if st := src.Stats(); st.Polls != 100 {
-		t.Fatalf("polls = %d, want 100", st.Polls)
+	if st := src.Stats(); st.Polls != 99 {
+		t.Fatalf("polls = %d, want 99", st.Polls)
 	}
 }
 

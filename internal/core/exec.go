@@ -303,8 +303,17 @@ type taskRun struct {
 	idx   []int64
 	// budget is the paper's R: iterations left before the next
 	// promotion-ready point, one per leaf loop, carried across leaf-loop
-	// invocations within the task (chunk-size transferring, §3.2).
+	// invocations within the task (chunk-size transferring, §3.2). Interior
+	// latches spend from their loop's spendOrd entry, so R carries across
+	// levels as well.
 	budget []int64
+	// spent counts every unit debited from any budget by this task. A latch
+	// compares it across one iteration to tell whether the iteration's
+	// children already paid for it.
+	spent int64
+	// owed records a budget that ran out exactly at the end of an
+	// invocation whose poll was left to the enclosing latch (exhausted).
+	owed bool
 	// srt holds one SliceRT per leaf for programs with monomorphic Slice
 	// entries (nil otherwise). Entries reference this taskRun by pointer,
 	// so the scaffolding is built once per taskRun and survives pooling —
@@ -439,6 +448,7 @@ func (ts *taskRun) snapshot() *snapshot {
 func (ts *taskRun) adopt(s *snapshot) {
 	copy(ts.chain, s.chain)
 	copy(ts.budget, s.budget)
+	ts.owed = false
 	for i, ca := range s.childAccs {
 		ts.childAccs[i] = ca
 		s.childAccs[i] = nil
@@ -530,6 +540,7 @@ func (ts *taskRun) runLoop(l *cloop) int {
 	e := &ts.chain[l.id.Level]
 	lvl := l.id.Level
 	env := ts.x.env
+	sp := l.spendOrd
 	for e.iv < e.hi {
 		// Interior-loop safepoint: a cancelled run abandons its remaining
 		// iterations here, the same boundary a heartbeat poll sits on.
@@ -541,6 +552,7 @@ func (ts *taskRun) runLoop(l *cloop) int {
 			ts.cur = l
 			l.spec.Pre(env, ts.idx[:lvl+1], ts.accVisible(l))
 		}
+		spent := ts.spent
 		if pl := ts.runChildren(l, 0); pl != noPromo {
 			if pl < lvl {
 				return pl
@@ -555,13 +567,22 @@ func (ts *taskRun) runLoop(l *cloop) int {
 			l.spec.Post(env, ts.idx[:lvl+1], ts.accVisible(l), ts.childAccs[lvl])
 		}
 		e.iv++
-		// The latch promotion-ready point of an interior DOALL loop (§3.2).
-		if ts.poll(-1) {
-			if pl := ts.x.promote(ts, l); pl != noPromo {
-				if pl < lvl {
-					return pl
-				}
-				return noPromo
+		// The latch promotion-ready point of an interior DOALL loop (§3.2)
+		// spends from the same budget R as the leaf: an iteration costs at
+		// least one unit, and only a budget that reaches zero polls — here
+		// or in a child whose invocation it ended.
+		due := ts.owed
+		if ts.spent == spent {
+			if ts.budget[sp] <= 0 {
+				ts.budget[sp] = ts.chunkFor(sp, e.hi-e.iv)
+			}
+			ts.budget[sp]--
+			ts.spent++
+			due = due || ts.budget[sp] == 0
+		}
+		if due {
+			if pl := ts.exhausted(l); pl != noPromo {
+				return pl
 			}
 		}
 	}
@@ -633,7 +654,6 @@ func (ts *taskRun) runLeaf(l *cloop) int {
 		r := ts.budget[ord]
 		if r <= 0 {
 			r = ts.chunkFor(ord, e.hi-e.iv)
-			ts.budget[ord] = r
 		}
 		n := r
 		if left := e.hi - e.iv; left < n {
@@ -642,18 +662,11 @@ func (ts *taskRun) runLeaf(l *cloop) int {
 		ts.cur = l
 		l.spec.Body(env, idx, e.iv, e.iv+n, acc)
 		e.iv += n
-		r -= n
-		ts.budget[ord] = r
-		if r == 0 {
-			// Chunk complete: reinitialize R and poll (§3.2).
-			ts.budget[ord] = ts.chunkFor(ord, e.hi-e.iv)
-			if ts.poll(ord) {
-				if pl := ts.x.promote(ts, l); pl != noPromo {
-					if pl < lvl {
-						return pl
-					}
-					return noPromo
-				}
+		ts.spent += n
+		ts.budget[ord] = r - n
+		if r == n {
+			if pl := ts.exhausted(l); pl != noPromo {
+				return pl
 			}
 		}
 	}
@@ -665,8 +678,10 @@ func (ts *taskRun) runLeaf(l *cloop) int {
 // heartbeat polls inlined at its loop body), and returns the next unstarted
 // iteration. A return before hi means the slice stopped at a promotion-ready
 // point — rt.Poll detected a heartbeat, or the run was cancelled — so this
-// driver only runs the promotion handler and re-enters. The generic
-// per-chunk driver below stays entirely off the hot path.
+// driver only runs the promotion handler and re-enters. A return at hi with
+// R at zero is a chunk that ended the invocation, whose poll the slice left
+// to this driver. The generic per-chunk driver above stays entirely off the
+// hot path.
 func (ts *taskRun) runLeafSlice(l *cloop, sl loopnest.Slice, e *lst, acc any, idx []int64) int {
 	lvl := l.id.Level
 	env := ts.x.env
@@ -679,8 +694,13 @@ func (ts *taskRun) runLeafSlice(l *cloop, sl loopnest.Slice, e *lst, acc any, id
 		// Resync the policy's remaining-iterations estimate: the slice body
 		// advances iv privately, so this is the last exact point.
 		rt.rem = e.hi - e.iv
-		e.iv = sl(env, idx, e.iv, e.hi, acc, rt)
+		iv := sl(env, idx, e.iv, e.hi, acc, rt)
+		ts.spent += iv - e.iv
+		e.iv = iv
 		if e.iv >= e.hi {
+			if ts.budget[l.leafOrd] == 0 {
+				return ts.exhausted(l)
+			}
 			break
 		}
 		if ts.aborted() {
@@ -696,26 +716,55 @@ func (ts *taskRun) runLeafSlice(l *cloop, sl loopnest.Slice, e *lst, acc any, id
 	return noPromo
 }
 
+// exhausted is the promotion-ready point of loop l once the budget it
+// spends from has reached zero, with chain[l.level].iv the next unstarted
+// iteration. A budget that runs out exactly at the end of l's invocation
+// stays at zero when l.deferEnd, and the poll is owed to the enclosing
+// latch, where outer-loop-first promotion can still split the loops above
+// l (the root's owed poll is dropped: the run is over). Otherwise R is
+// refilled from the policy and the heartbeat polled, running the promotion
+// handler on a beat. It returns the level of a split ancestor for the
+// driver to unwind to, or noPromo — also after a split of l itself, which
+// leaves l's invocation with no iterations.
+func (ts *taskRun) exhausted(l *cloop) int {
+	e := &ts.chain[l.id.Level]
+	if e.iv >= e.hi && l.deferEnd {
+		ts.owed = true
+		return noPromo
+	}
+	ts.owed = false
+	ord := l.spendOrd
+	ts.budget[ord] = ts.chunkFor(ord, e.hi-e.iv)
+	if !ts.poll(ord) {
+		return noPromo
+	}
+	if pl := ts.x.promote(ts, l); pl != noPromo && pl < l.id.Level {
+		return pl
+	}
+	return noPromo
+}
+
 // poll checks the heartbeat source and feeds the scheduling policy's poll
-// window. ord is the polling leaf's ordinal, or -1 at interior latches.
+// window. ord is the leaf whose budget ran out: every poll spends a full
+// budget, so a completed window measures that leaf's chunk.
 func (ts *taskRun) poll(ord int) bool {
 	w := ts.w.ID()
 	k := ts.x.src.Poll(w)
 	a := &ts.x.ac[w]
-	a.notePoll(ord)
+	a.polls++
 	if k == 0 {
 		return false
 	}
-	m, leaf, windowDone := a.onHeartbeat(ord)
+	m, windowDone := a.onHeartbeat()
 	var prev, next int64
 	retuned := false
-	if windowDone && leaf >= 0 {
-		prev, next, retuned = ts.x.pol.OnWindow(w, leaf, m)
+	if windowDone {
+		prev, next, retuned = ts.x.pol.OnWindow(w, ord, m)
 	}
 	if tr := ts.x.tr; tr != nil {
 		tr.Emit(w, telemetry.KindBeat, int64(k), int64(ord), 0, 0, 0)
 		if retuned {
-			tr.Emit(w, telemetry.KindRetune, int64(leaf), next, prev, m, ts.idx[0])
+			tr.Emit(w, telemetry.KindRetune, int64(ord), next, prev, m, ts.idx[0])
 		}
 	}
 	return true

@@ -124,11 +124,11 @@ func TestOnHeartbeatOverflowKeepsMax(t *testing.T) {
 	pol := newPolicy(PolicyInfo{Workers: 1, Leaves: 1, Opts: opts}).(*adaptivePolicy)
 	pol.slots.store(0, 0, math.MaxInt64/2)
 	a.polls = 1 << 32 // poll count large enough to overflow the product
-	m, leaf, done := a.onHeartbeat(0)
-	if !done || leaf != 0 {
-		t.Fatalf("onHeartbeat = (m=%d, leaf=%d, done=%v), want a completed window for leaf 0", m, leaf, done)
+	m, done := a.onHeartbeat()
+	if !done {
+		t.Fatalf("onHeartbeat = (m=%d, done=%v), want a completed window", m, done)
 	}
-	prev, next, retuned := pol.OnWindow(0, leaf, m)
+	prev, next, retuned := pol.OnWindow(0, 0, m)
 	if !retuned {
 		t.Fatal("expected a rescale at window end")
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"hbc/internal/loopnest"
 	"hbc/internal/pulse"
 	"hbc/internal/sched"
+	"hbc/internal/telemetry"
 )
 
 func mkPolicy(t *testing.T, o Options, workers, leaves int) SchedPolicy {
@@ -162,47 +164,50 @@ func TestRescaleChunkBoundaries(t *testing.T) {
 	}
 }
 
-// TestLatchWindowAttributedToLastLeaf pins the onHeartbeat bugfix at the
-// unit level: a window whose closing beat lands on an interior latch
-// (ord < 0) is attributed to the most recently polling leaf instead of
-// being discarded.
-func TestLatchWindowAttributedToLastLeaf(t *testing.T) {
-	opts := (Options{WindowSize: 2}).withDefaults()
-	var a acWorker
-	a.init(opts)
-
-	// Before any leaf has polled, a latch-closed window has no leaf to
-	// describe: it is dropped (leaf -1), the only case where data may go.
-	a.notePoll(-1)
-	if _, _, done := a.onHeartbeat(-1); done {
-		t.Fatal("window done after 1 of 2 beats")
+// TestLatchPollSpendsLastLeaf pins the attribution rule on a nest with two
+// sibling leaves: a latch spends from, and attributes its poll to, the last
+// child's leaf, while a non-last leaf whose chunk ends its invocation polls
+// itself, since the latch does not spend from its budget. Every poll beats
+// and promotion is off, so the traced beats are the exact poll sequence.
+func TestLatchPollSpendsLastLeaf(t *testing.T) {
+	// Static chunk 2; row r runs leaf a over 2 iterations, then leaf b over
+	// bLen[r]. Row 0: a's chunk ends a's invocation and polls (leaf 0); b's
+	// ends the row, so the latch polls for leaf 1. Row 1: a polls; b is
+	// empty, but a already paid for the row, so the latch does not. Row 2:
+	// a polls; b leaves one unit of its budget.
+	bLen := []int64{2, 0, 1}
+	mk := func(name string, n func(row int64) int64) *loopnest.Loop {
+		return &loopnest.Loop{
+			Name:   name,
+			Bounds: func(_ any, idx []int64) (int64, int64) { return 0, n(idx[0]) },
+			Body:   func(any, []int64, int64, int64, any) {},
+		}
 	}
-	a.notePoll(-1)
-	if m, leaf, done := a.onHeartbeat(-1); !done || leaf != -1 || m != 1 {
-		t.Fatalf("pre-leaf window = (m=%d, leaf=%d, done=%v), want (1, -1, true)", m, leaf, done)
+	nest := &loopnest.Nest{Name: "siblings", Root: &loopnest.Loop{
+		Name:   "row",
+		Bounds: func(any, []int64) (int64, int64) { return 0, int64(len(bLen)) },
+		Children: []*loopnest.Loop{
+			mk("a", func(int64) int64 { return 2 }),
+			mk("b", func(r int64) int64 { return bLen[r] }),
+		},
+	}}
+	p := MustCompile(nest, Options{Chunk: ChunkPolicy{Kind: ChunkStatic, Size: 2}, DisablePromotion: true})
+	team := sched.NewTeam(1)
+	defer team.Close()
+	tr := telemetry.NewTracer(1, 1<<10)
+	x := NewExec(p, team, pulse.NewAlways(), DefaultHeartbeat, nil)
+	x.SetTracer(tr)
+	x.Start()
+	defer x.Stop()
+	x.Run()
+	var got []int64
+	for _, e := range tr.Snapshot().Lanes[0].Events {
+		if e.Kind == telemetry.KindBeat {
+			got = append(got, e.B)
+		}
 	}
-
-	// Leaf 2 polls; the window then completes on a latch-detected beat.
-	// The old runtime returned retuned=false here and threw the window
-	// away — adaptation stalled whenever beats landed on latches.
-	for i := 0; i < 3; i++ {
-		a.notePoll(2)
-	}
-	a.notePoll(-1)    // the beat-detecting latch poll closes interval 1: 4 polls
-	a.onHeartbeat(-1) // window half full
-	for i := 0; i < 4; i++ {
-		a.notePoll(2)
-	}
-	a.notePoll(-1) // interval 2: 5 polls
-	m, leaf, done := a.onHeartbeat(-1)
-	if !done {
-		t.Fatal("expected the second interval to complete the window")
-	}
-	if leaf != 2 {
-		t.Fatalf("latch-closed window attributed to leaf %d, want lastLeaf 2", leaf)
-	}
-	if m != 4 {
-		t.Fatalf("window min = %d, want min(4, 5) = 4", m)
+	if want := []int64{0, 1, 0, 0}; !slices.Equal(got, want) {
+		t.Fatalf("beats spent from leaves %v, want %v", got, want)
 	}
 }
 
@@ -234,13 +239,15 @@ func latchNest() *loopnest.Nest {
 	return &loopnest.Nest{Name: "latchy", Root: root}
 }
 
-// TestLatchClosedWindowsStillAdapt is the end-to-end regression for the
-// onHeartbeat window-discard stall. The nest is arranged so every beat
-// lands on an interior latch poll: inner size == chunk size, so polls
-// alternate leaf, latch, leaf, latch, and an every-2nd-poll pulse beats
-// exclusively at latches. With WindowSize 1, every completed window closes
-// at a latch — under the old runtime not one of them retuned, and the
-// chunk stayed pinned at its initial value for the whole run.
+// TestLatchClosedWindowsStillAdapt checks that windows closed at interior
+// latches retune the chunk of the leaf the latch spends from. Inner size ==
+// initial chunk == 8, so every chunk ends its row and leaves its poll to
+// the row's latch: while the chunk is 8, every poll is a latch poll. An
+// every-2nd-poll pulse makes each one-beat window's minimum 2, half the
+// target 4, so each window halves the chunk: 8 → 4 → 2 → 1, where it stays
+// (rescale floors at 1). The first window is closed at a latch alone; a
+// runtime that dropped or misattributed latch windows leaves the chunk at
+// 8 or retunes some other leaf.
 func TestLatchClosedWindowsStillAdapt(t *testing.T) {
 	env := &latchEnv{rows: 4000, inner: 8, out: make([]int64, 4000)}
 	p := MustCompile(latchNest(), Options{
@@ -252,12 +259,30 @@ func TestLatchClosedWindowsStillAdapt(t *testing.T) {
 	})
 	team := sched.NewTeam(1)
 	defer team.Close()
+	tr := telemetry.NewTracer(1, 1<<16)
 	x := NewExec(p, team, pulse.NewEveryN(2), DefaultHeartbeat, env)
+	x.SetTracer(tr)
 	x.Start()
 	defer x.Stop()
 	x.Run()
-	if got := x.Chunks(0)[0]; got == 8 {
-		t.Fatalf("adaptive chunk still at initial 8 after %d latch-closed windows: window data was discarded", env.rows)
+	var chunks []int64
+	for _, e := range tr.Snapshot().Lanes[0].Events {
+		if e.Kind != telemetry.KindRetune {
+			continue
+		}
+		if e.A != 0 || e.D != 2 {
+			t.Fatalf("retune of leaf %d from window minimum %d, want leaf 0 and minimum 2", e.A, e.D)
+		}
+		if len(chunks) == 0 {
+			chunks = append(chunks, e.C)
+		}
+		chunks = append(chunks, e.B)
+	}
+	if len(chunks) < 4 || !slices.Equal(chunks[:4], []int64{8, 4, 2, 1}) {
+		t.Fatalf("chunk sequence %v, want it to start 8, 4, 2, 1", chunks)
+	}
+	if got := x.Chunks(0)[0]; got != 1 {
+		t.Fatalf("final chunk = %d, want 1", got)
 	}
 	for i, v := range env.out {
 		if v != env.inner {

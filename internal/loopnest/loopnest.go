@@ -68,10 +68,13 @@ type SliceRT interface {
 
 // Slice is the monomorphic task entry of a leaf loop: a specialized
 // (typically generated) function that executes iterations of [iv, hi) in
-// chunks, polling rt at every chunk boundary, and returns the next
-// unstarted iteration. Returning a value < hi means the slice stopped at a
-// promotion-ready point (rt.Poll returned true) or observed rt.Aborted;
-// the runtime then promotes and re-enters. Unlike Body, a Slice owns the
+// chunks, polling rt at every chunk boundary before hi, and returns the
+// next unstarted iteration. Returning a value < hi means the slice stopped
+// at a promotion-ready point (rt.Poll returned true) or observed
+// rt.Aborted; the runtime then promotes and re-enters. A chunk that ends
+// exactly at hi does not poll: the slice leaves the budget at zero and
+// returns hi, and the runtime places that poll (normally at the enclosing
+// loop's latch). Unlike Body, a Slice owns the
 // whole chunking loop, so the runtime's generic per-chunk driver — and its
 // per-call closure frames — stay off the hot path entirely.
 //

@@ -18,17 +18,29 @@ func pollUntil(t *testing.T, s Source, w int, deadline time.Duration) int {
 	return 0
 }
 
+// TestTimerFiresAtRate checks the beat count against the time the polling
+// loop actually ran, not a nominal window: a stall anywhere in the loop
+// moves the expected count together with the observed one. The timeline
+// starts inside Attach, and a poll reads the clock between before and
+// after, so the beats seen up to that poll are exactly ⌊(poll − start) /
+// period⌋, which lies in [⌊(before − attach) / period⌋, ⌊after / period⌋].
+// Checked after every poll, so a detection that reports the wrong number
+// of beats fails even when later deadlines make up for it.
 func TestTimerFiresAtRate(t *testing.T) {
+	const period = time.Millisecond
 	s := NewTimer()
-	s.Attach(1, time.Millisecond)
+	t0 := time.Now()
+	s.Attach(1, period)
+	attach := time.Since(t0)
 	defer s.Detach()
 	beats := 0
-	t0 := time.Now()
-	for time.Since(t0) < 20*time.Millisecond {
+	for after := time.Duration(0); after < 20*period; {
+		before := time.Since(t0)
 		beats += s.Poll(0)
-	}
-	if beats < 15 || beats > 25 {
-		t.Fatalf("beats = %d over 20ms at 1ms period, want ≈20", beats)
+		after = time.Since(t0)
+		if lo, hi := int((before-attach)/period), int(after/period); beats < lo || beats > hi {
+			t.Fatalf("beats = %d after polling for %v at %v period, want %d..%d", beats, after, period, lo, hi)
+		}
 	}
 	st := s.Stats()
 	if st.Polls == 0 || st.Detected == 0 {

@@ -57,8 +57,8 @@ const (
 	// KindUnpark marks the end of a park: A is the reason (see Unpark*).
 	KindUnpark
 	// KindBeat is a heartbeat detection at a poll site: A is the number of
-	// beats observed (k>1 means k-1 were missed), B the polling leaf
-	// ordinal, or -1 at an interior latch.
+	// beats observed (k>1 means k-1 were missed), B the ordinal of the leaf
+	// whose budget ran out (an interior latch spends its last leaf's).
 	KindBeat
 	// KindFailover is a watchdog failover from a silent heartbeat source to
 	// fallback timer polling: A is the failover ordinal (1 for the first).
