@@ -84,11 +84,14 @@ type (
 	Loop = loopnest.Loop
 	// Reduction declares an associative combine across a loop's iterations.
 	Reduction = loopnest.Reduction
-	// Slice is the monomorphic leaf task entry used by generated kernels
-	// (internal/codegen): a specialized chunking loop the executor calls
-	// instead of the generic per-chunk driver around Body.
+	// Slice is the monomorphic task entry generated kernels emit for every
+	// level of a chain (internal/codegen): on a leaf, a specialized chunking
+	// loop in place of the generic per-chunk driver around Body; on an
+	// interior loop, whole iterations that call the child's slice directly.
 	Slice = loopnest.Slice
-	// SliceRT is the runtime interface a Slice polls at chunk boundaries.
+	// SliceRT is the runtime a Slice spends its budget from and polls at
+	// promotion-ready points; interior slices also fetch child
+	// accumulators from it and record a stop inside an iteration with it.
 	SliceRT = loopnest.SliceRT
 )
 

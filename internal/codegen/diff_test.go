@@ -181,52 +181,69 @@ func TestDifferentialSerial(t *testing.T) {
 
 // TestDifferentialHeartbeat runs both paths through the heartbeat engine
 // under a deterministic configuration (1 worker, never-firing source) —
-// the generated path through its slice-task entries — and requires
-// bit-identical results and the same number of polls: the emitted slice
-// and the generic leaf driver spend and poll the budget by one rule.
+// the generated path through its slice-task entries at every level — under
+// every schedule except the timing-driven auto selector, and requires
+// bit-identical results and the same number of polls: the emitted slices
+// and the generic drivers spend and poll the budget by one rule, and ask
+// the schedule for the same chunks with the same remaining counts.
 func TestDifferentialHeartbeat(t *testing.T) {
 	for _, name := range goodKernels {
 		t.Run(name, func(t *testing.T) {
-			k, c := loadKernel(t, name)
-			gk, ok := gen.Lookup(name)
-			if !ok {
-				t.Fatalf("kernel %q not registered", name)
-			}
-			envG := gk.NewEnv()
-			seedFloats(t, k, 23, c.Env, envG)
-
-			run := func(nestEnv any, prog *core.Program) (any, int64) {
-				team := sched.NewTeam(1)
-				defer team.Close()
-				src := pulse.NewNever()
-				x := core.NewExec(prog, team, src, time.Millisecond, nestEnv)
-				x.Start()
-				defer x.Stop()
-				return x.Run(), src.Stats().Polls
-			}
-			progI, err := core.Compile(c.Nest, core.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			progG, err := core.Compile(gk.Nest(envG), core.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, polls := run(c.Env, progI)
-			gotG, pollsG := run(envG, progG)
-			if polls != pollsG {
-				t.Fatalf("polls: %d interpreted, %d generated", polls, pollsG)
-			}
-
-			if v, ok := rootValue(got); ok {
-				vg, okg := rootValue(gotG)
-				if !okg || math.Float64bits(v) != math.Float64bits(vg) {
-					t.Fatalf("root reduction: %v interpreted, %v generated (ok=%v)", v, gotG, okg)
+			for _, sched := range core.ScheduleNames() {
+				if sched == "auto" {
+					continue
 				}
+				kind, err := core.ParseChunkKind(sched)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Run(sched, func(t *testing.T) {
+					differentialHeartbeat(t, name, core.Options{Chunk: core.ChunkPolicy{Kind: kind}})
+				})
 			}
-			compareEnvs(t, k, c.Env, envG, 0, "heartbeat")
 		})
 	}
+}
+
+func differentialHeartbeat(t *testing.T, name string, opts core.Options) {
+	k, c := loadKernel(t, name)
+	gk, ok := gen.Lookup(name)
+	if !ok {
+		t.Fatalf("kernel %q not registered", name)
+	}
+	envG := gk.NewEnv()
+	seedFloats(t, k, 23, c.Env, envG)
+
+	run := func(nestEnv any, prog *core.Program) (any, int64) {
+		team := sched.NewTeam(1)
+		defer team.Close()
+		src := pulse.NewNever()
+		x := core.NewExec(prog, team, src, time.Millisecond, nestEnv)
+		x.Start()
+		defer x.Stop()
+		return x.Run(), src.Stats().Polls
+	}
+	progI, err := core.Compile(c.Nest, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	progG, err := core.Compile(gk.Nest(envG), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, polls := run(c.Env, progI)
+	gotG, pollsG := run(envG, progG)
+	if polls != pollsG {
+		t.Fatalf("polls: %d interpreted, %d generated", polls, pollsG)
+	}
+
+	if v, ok := rootValue(got); ok {
+		vg, okg := rootValue(gotG)
+		if !okg || math.Float64bits(v) != math.Float64bits(vg) {
+			t.Fatalf("root reduction: %v interpreted, %v generated (ok=%v)", v, gotG, okg)
+		}
+	}
+	compareEnvs(t, k, c.Env, envG, 0, "heartbeat")
 }
 
 // TestDifferentialParallel runs both paths on a multi-worker team with a

@@ -343,37 +343,62 @@ func newTaskRun(x *Exec, w *sched.Worker) *taskRun {
 	if p.hasSlice {
 		ts.srt = make([]sliceRT, len(p.leaves))
 		for ord := range ts.srt {
-			ts.srt[ord] = sliceRT{ts: ts, ord: ord}
+			ts.srt[ord] = sliceRT{ts: ts, ord: ord, stop: -1}
 		}
 	}
 	return ts
 }
 
-// sliceRT adapts a taskRun to the loopnest.SliceRT interface for one leaf.
-// Passed as *sliceRT, so the interface conversion does not allocate.
+// sliceRT adapts a taskRun to the loopnest.SliceRT interface for the
+// slices spending one leaf's budget: the leaf's own and its single-child
+// ancestors'. Passed as *sliceRT, so the interface conversion does not
+// allocate.
 type sliceRT struct {
 	ts  *taskRun
 	ord int
-	// rem estimates the invocation's remaining iterations for the schedule
-	// policies: resynced to the exact value before each slice entry
-	// (runLeafSlice) and decremented by each chunk dealt — the slice body
-	// advances iv itself, so between entries this is the best the runtime
-	// can know without widening loopnest.SliceRT.
-	rem int64
+	// stop is the deepest level an interior slice recorded with Stop since
+	// the driver last entered it, or -1 when none did.
+	stop int
 }
 
 func (rt *sliceRT) Budget() *int64 { return &rt.ts.budget[rt.ord] }
 
-func (rt *sliceRT) Chunk() int64 {
-	c := rt.ts.chunkFor(rt.ord, rt.rem)
-	if rt.rem -= c; rt.rem < 0 {
-		rt.rem = 0
-	}
-	return c
-}
+func (rt *sliceRT) Chunk(remaining int64) int64 { return rt.ts.chunkFor(rt.ord, remaining) }
 
 func (rt *sliceRT) Poll() bool    { return rt.ts.poll(rt.ord) }
 func (rt *sliceRT) Aborted() bool { return rt.ts.aborted() }
+
+// Acc returns the task's scratch accumulator for the loop at level on the
+// leaf's chain — the one accForLoop would reset for its next invocation —
+// creating it when a promotion surrendered it.
+func (rt *sliceRT) Acc(level int) any {
+	ts := rt.ts
+	c := ancestorAt(ts.x.prog.leaves[rt.ord], level)
+	a := ts.accPool[c.ord]
+	if a == nil && c.spec.Reduce != nil {
+		a = c.spec.Reduce.Fresh()
+		ts.accPool[c.ord] = a
+	}
+	return a
+}
+
+// Stop writes a stopped invocation into the task's LST chain, exactly as
+// setupInvocation and the generic drivers would have left it: the loop at
+// level ran [lo, iv) into its Acc accumulator, and iv is its next
+// unstarted iteration if it is the innermost stop, its in-flight one
+// otherwise.
+func (rt *sliceRT) Stop(level int, lo, iv, hi int64) {
+	ts := rt.ts
+	if rt.stop < 0 {
+		rt.stop = level
+	}
+	c := ancestorAt(ts.x.prog.leaves[rt.ord], level)
+	e := &ts.chain[level]
+	e.loop = c
+	e.lo, e.iv, e.hi = lo, iv, hi
+	e.childPos = 0
+	e.acc = ts.accPool[c.ord]
+}
 
 // getTaskRun returns a taskRun for a promoted slice or leftover task,
 // recycled from the pool when possible. The caller installs ctl and adopts a
@@ -537,54 +562,70 @@ func (ts *taskRun) runLoop(l *cloop) int {
 	if l.leaf() {
 		return ts.runLeaf(l)
 	}
+	if sl := l.spec.Slice; sl != nil {
+		return ts.runSlice(l, sl)
+	}
 	e := &ts.chain[l.id.Level]
-	lvl := l.id.Level
-	env := ts.x.env
-	sp := l.spendOrd
 	for e.iv < e.hi {
 		// Interior-loop safepoint: a cancelled run abandons its remaining
 		// iterations here, the same boundary a heartbeat poll sits on.
 		if ts.aborted() {
 			return noPromo
 		}
-		ts.idx[lvl] = e.iv
-		if l.spec.Pre != nil {
-			ts.cur = l
-			l.spec.Pre(env, ts.idx[:lvl+1], ts.accVisible(l))
-		}
-		spent := ts.spent
-		if pl := ts.runChildren(l, 0); pl != noPromo {
-			if pl < lvl {
+		if pl := ts.iterate(l); pl != noPromo {
+			if pl < l.id.Level {
 				return pl
 			}
-			// pl == lvl: this loop was split; its remaining iterations and
-			// the tail of the in-flight one now belong to the promoted
+			// pl == l's level: this loop was split; its remaining iterations
+			// and the tail of the in-flight one now belong to the promoted
 			// tasks, and the handler already joined them.
 			return noPromo
 		}
-		if l.spec.Post != nil {
-			ts.cur = l
-			l.spec.Post(env, ts.idx[:lvl+1], ts.accVisible(l), ts.childAccs[lvl])
+	}
+	return noPromo
+}
+
+// iterate runs interior loop l's iteration chain[l.level].iv through the
+// generic pieces — Pre, the children, Post, the latch — and returns
+// noPromo, or the level (at or above l) of a loop a promotion split.
+func (ts *taskRun) iterate(l *cloop) int {
+	lvl := l.id.Level
+	ts.idx[lvl] = ts.chain[lvl].iv
+	if l.spec.Pre != nil {
+		ts.cur = l
+		l.spec.Pre(ts.x.env, ts.idx[:lvl+1], ts.accVisible(l))
+	}
+	spent := ts.spent
+	if pl := ts.runChildren(l, 0); pl != noPromo {
+		return pl
+	}
+	if l.spec.Post != nil {
+		ts.cur = l
+		l.spec.Post(ts.x.env, ts.idx[:lvl+1], ts.accVisible(l), ts.childAccs[lvl])
+	}
+	return ts.latch(l, ts.spent == spent)
+}
+
+// latch is the promotion-ready point of an interior DOALL loop (§3.2),
+// closing its in-flight iteration. It spends from the same budget R as the
+// leaf: an iteration costs at least one unit (idle, when its children ran
+// nothing), and only a budget that reaches zero polls — here, or in a child
+// whose invocation it ended and which left the poll owed.
+func (ts *taskRun) latch(l *cloop, idle bool) int {
+	e := &ts.chain[l.id.Level]
+	e.iv++
+	due := ts.owed
+	if idle {
+		sp := l.spendOrd
+		if ts.budget[sp] <= 0 {
+			ts.budget[sp] = ts.chunkFor(sp, e.hi-e.iv)
 		}
-		e.iv++
-		// The latch promotion-ready point of an interior DOALL loop (§3.2)
-		// spends from the same budget R as the leaf: an iteration costs at
-		// least one unit, and only a budget that reaches zero polls — here
-		// or in a child whose invocation it ended.
-		due := ts.owed
-		if ts.spent == spent {
-			if ts.budget[sp] <= 0 {
-				ts.budget[sp] = ts.chunkFor(sp, e.hi-e.iv)
-			}
-			ts.budget[sp]--
-			ts.spent++
-			due = due || ts.budget[sp] == 0
-		}
-		if due {
-			if pl := ts.exhausted(l); pl != noPromo {
-				return pl
-			}
-		}
+		ts.budget[sp]--
+		ts.spent++
+		due = due || ts.budget[sp] == 0
+	}
+	if due {
+		return ts.exhausted(l)
 	}
 	return noPromo
 }
@@ -691,9 +732,6 @@ func (ts *taskRun) runLeafSlice(l *cloop, sl loopnest.Slice, e *lst, acc any, id
 			return noPromo
 		}
 		ts.cur = l
-		// Resync the policy's remaining-iterations estimate: the slice body
-		// advances iv privately, so this is the last exact point.
-		rt.rem = e.hi - e.iv
 		iv := sl(env, idx, e.iv, e.hi, acc, rt)
 		ts.spent += iv - e.iv
 		e.iv = iv
@@ -714,6 +752,110 @@ func (ts *taskRun) runLeafSlice(l *cloop, sl loopnest.Slice, e *lst, acc any, id
 		}
 	}
 	return noPromo
+}
+
+// runSlice drives an interior loop through its monomorphic Slice entry,
+// which runs whole iterations inline — calling its child's slice directly —
+// and returns the next unstarted one. Like runLeafSlice, a return at hi
+// with R at zero leaves this driver the owed poll, and a return below hi
+// with no stop recorded is a latch stop: promote at l and re-enter. A stop
+// inside an iteration (rt.stop >= 0) left the stopped levels' (lo, iv, hi)
+// in the chain: promote at the deepest, finish the in-flight iterations
+// with the generic pieces (resume), and re-enter at l's next iteration.
+func (ts *taskRun) runSlice(l *cloop, sl loopnest.Slice) int {
+	e := &ts.chain[l.id.Level]
+	lvl := l.id.Level
+	env := ts.x.env
+	rt := &ts.srt[l.spendOrd]
+	acc := ts.accVisible(l)
+	idx := ts.idx[:lvl]
+	for e.iv < e.hi {
+		if ts.aborted() {
+			return noPromo
+		}
+		var pl int
+		if ts.owed {
+			// A poll owed from before this entry (a leftover resumes a loop
+			// past the latch of its in-flight iteration) is taken at this
+			// iteration's latch, which the slice cannot see: run it
+			// generically.
+			pl = ts.iterate(l)
+		} else {
+			ts.cur = l
+			rt.stop = -1
+			iv := sl(env, idx, e.iv, e.hi, acc, rt)
+			ts.spent += iv - e.iv
+			e.iv = iv
+			switch {
+			case rt.stop >= 0:
+				// The in-flight iteration iv ran part of its children.
+				ts.spent++
+				if ts.aborted() {
+					return noPromo
+				}
+				for m := lvl; m < rt.stop; m++ {
+					ts.idx[m] = ts.chain[m].iv
+				}
+				deep := ancestorAt(ts.x.prog.leaves[l.spendOrd], rt.stop)
+				pl = ts.resume(l, deep, ts.x.promote(ts, deep))
+			case iv >= e.hi:
+				if ts.budget[l.spendOrd] == 0 {
+					return ts.exhausted(l)
+				}
+				return noPromo
+			default:
+				if ts.aborted() {
+					return noPromo
+				}
+				pl = ts.x.promote(ts, l)
+			}
+		}
+		if pl != noPromo {
+			if pl < lvl {
+				return pl
+			}
+			return noPromo
+		}
+	}
+	return noPromo
+}
+
+// resume finishes, with the generic pieces, what a stop inside interior
+// loop l's in-flight iteration left undone, given pl, the result of the
+// promotion at the deepest stopped loop deep: the rest of deep's
+// invocation (unless a promotion completed it), then, for each loop from
+// deep's parent up to l, the tail of its in-flight iteration and its
+// latch, and — below l — its remaining iterations. Each of those loops had
+// its children run in the in-flight iteration, so its latch debits
+// nothing. It returns noPromo once l's in-flight iteration is closed, or
+// the level (at or above l) of a loop a promotion split.
+func (ts *taskRun) resume(l, deep *cloop, pl int) int {
+	cur := deep
+	if pl == noPromo {
+		pl = ts.runLoop(deep)
+	}
+	for {
+		if pl != noPromo {
+			if pl <= l.id.Level {
+				return pl
+			}
+			// The split loop's invocation is complete; the walk goes on
+			// from its parent.
+			cur = ancestorAt(deep, pl)
+		}
+		par := cur.parent
+		pl = ts.tailOf(par)
+		if pl == noPromo {
+			pl = ts.latch(par, false)
+		}
+		if par == l {
+			return pl
+		}
+		if pl == noPromo {
+			pl = ts.runLoop(par)
+		}
+		cur = par
+	}
 }
 
 // exhausted is the promotion-ready point of loop l once the budget it

@@ -150,10 +150,8 @@ func TestBodyPanicSurfacesAtRun(t *testing.T) {
 func TestPanicInPromotedTaskSurfaces(t *testing.T) {
 	// The panic fires in a forked slice task; it must travel through the
 	// promotion join back to the root caller.
-	count := 0
 	nest := sumNest("panicky2")
 	nest.Root.Body = func(_ any, _ []int64, lo, hi int64, acc any) {
-		count++
 		if lo > 400 {
 			panic("late failure")
 		}

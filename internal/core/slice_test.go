@@ -43,8 +43,8 @@ func (e *sliceTestEnv) reset() {
 }
 
 // sliceTestNest builds the two-level nest. When withSlice is set, the leaf
-// additionally carries a monomorphic Slice entry that mirrors the generated
-// code's chunking loop; calls counts its invocations.
+// additionally carries a monomorphic Slice entry on the emitted template
+// (templateLeafSlice); calls counts its invocations.
 func sliceTestNest(withSlice bool, calls *atomic.Int64) *loopnest.Nest {
 	inner := &loopnest.Loop{
 		Name: "j",
@@ -63,38 +63,10 @@ func sliceTestNest(withSlice bool, calls *atomic.Int64) *loopnest.Nest {
 		Reduce: loopnest.SumFloat64(),
 	}
 	if withSlice {
+		sl := templateLeafSlice(inner.Body)
 		inner.Slice = func(env any, idx []int64, iv, hi int64, acc any, rt loopnest.SliceRT) int64 {
 			calls.Add(1)
-			e := env.(*sliceTestEnv)
-			a := acc.(*float64)
-			base := idx[0] * 13
-			for iv < hi {
-				if rt.Aborted() {
-					return iv
-				}
-				b := rt.Budget()
-				r := *b
-				if r <= 0 {
-					r = rt.Chunk()
-				}
-				n := r
-				if left := hi - iv; left < n {
-					n = left
-				}
-				for j := iv; j < iv+n; j++ {
-					*a += e.val[base+j]
-				}
-				iv += n
-				r -= n
-				*b = r
-				if r == 0 {
-					*b = rt.Chunk()
-					if rt.Poll() {
-						return iv
-					}
-				}
-			}
-			return iv
+			return sl(env, idx, iv, hi, acc, rt)
 		}
 	}
 	root := &loopnest.Loop{

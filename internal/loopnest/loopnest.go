@@ -43,44 +43,75 @@ type PostHook func(env any, idx []int64, acc any, children []any)
 
 // SliceRT is the runtime interface handed to a monomorphic Slice task entry
 // (see Slice). It exposes exactly the per-task state the chunking
-// transformation needs — the leaf's private iteration budget R (which
-// transfers across invocations of the same leaf within a task), the current
-// chunk size, and the heartbeat/cancellation polls — without the generic
-// driver's closure frames. The runtime passes a pooled implementation; the
-// slice must not retain it beyond the call.
+// transformation needs — the private iteration budget R (which transfers
+// across invocations within a task and across the levels of a chain), the
+// chunk size, the heartbeat/cancellation polls, and, for interior slices,
+// the child accumulators and the stop record — without the generic driver's
+// closure frames. The runtime passes a pooled implementation; the slice
+// must not retain it beyond the call.
 type SliceRT interface {
-	// Budget returns the leaf's private budget counter R. The slice reads
-	// the residue on entry and writes the remainder back before returning,
-	// so a partially finished chunk carries into the task's next invocation
-	// of the same leaf (chunk-size transferring, paper §3.2).
+	// Budget returns the private budget counter R the slice spends from.
+	// The pointer is stable for the call; the slice reads the residue on
+	// entry and keeps the remainder in it, so a partially finished chunk
+	// carries into the task's next invocation (chunk-size transferring,
+	// paper §3.2).
 	Budget() *int64
-	// Chunk returns the chunk size currently in force for this leaf.
-	Chunk() int64
+	// Chunk returns the next chunk size for R, given the iterations left
+	// in the slice's invocation after the current one (hi - iv).
+	Chunk(remaining int64) int64
 	// Poll checks the heartbeat source at a promotion-ready point. A true
-	// return means a heartbeat arrived: the slice must store its state and
-	// return its induction variable so the runtime can run the promotion
-	// handler.
+	// return means a heartbeat arrived: the slice must return its next
+	// unstarted iteration so the runtime can run the promotion handler.
 	Poll() bool
-	// Aborted reports run cancellation; checked at the same chunk
-	// boundaries as Poll.
+	// Aborted reports run cancellation. Slices check it where a chunk
+	// starts and at the top of every interior iteration; a chunk carried
+	// into a leaf from the enclosing iteration was checked there.
 	Aborted() bool
+	// Acc returns the runtime's accumulator for invocations of the loop at
+	// the given level below an interior slice (nil when that loop has no
+	// Reduce). The slice fetches it once per entry, resets it before each
+	// child invocation, and accumulates into it directly: a promotion may
+	// hand it to a leftover task, and the next entry gets a fresh one.
+	Acc(level int) any
+	// Stop records, on the cold path, that the invocation of the loop at
+	// level — below an interior slice — returned early at iv within its
+	// [lo, hi). Each interior slice on the way up records its child,
+	// innermost first, then returns its own in-flight iteration.
+	Stop(level int, lo, iv, hi int64)
 }
 
-// Slice is the monomorphic task entry of a leaf loop: a specialized
-// (typically generated) function that executes iterations of [iv, hi) in
-// chunks, polling rt at every chunk boundary before hi, and returns the
-// next unstarted iteration. Returning a value < hi means the slice stopped
-// at a promotion-ready point (rt.Poll returned true) or observed
-// rt.Aborted; the runtime then promotes and re-enters. A chunk that ends
-// exactly at hi does not poll: the slice leaves the budget at zero and
-// returns hi, and the runtime places that poll (normally at the enclosing
-// loop's latch). Unlike Body, a Slice owns the
-// whole chunking loop, so the runtime's generic per-chunk driver — and its
-// per-call closure frames — stay off the hot path entirely.
+// Slice is the monomorphic task entry of a loop: a specialized (typically
+// generated) function that executes whole iterations of [iv, hi) and
+// returns the next unstarted one. Unlike Body and the hooks, a Slice owns
+// the loop's chunking and latch logic, so the runtime's generic per-chunk
+// and per-iteration drivers — and their per-call closure frames — stay off
+// the hot path.
 //
-// env, idx, and acc follow the Body contract. A Slice is an optional fast
-// path: the leaf must still define Body, which the serial elision
-// (RunSeq/RunStatic) and any non-slice-aware driver keep using.
+// A leaf Slice runs [iv, hi) in chunks of the budget R, polling rt at
+// every chunk boundary before hi. A chunk that ends exactly at hi does not
+// poll: the slice leaves R at zero and returns hi, and the runtime places
+// that poll (normally at the enclosing loop's latch).
+//
+// An interior Slice (a loop with exactly one child, which has a Slice
+// itself) runs each iteration inline: Pre; the child's bounds; the child
+// accumulator reset (rt.Acc); a direct call of the child's slice; Post.
+// Its latch spends R like the generic driver's: an iteration whose child
+// ran nothing debits one unit; a child that ended its chunk at its own hi
+// leaves R at zero, which the latch owes a poll. When R is zero with
+// iterations left, the latch refills R through rt.Chunk and polls; when R
+// is zero at hi, the slice returns hi and leaves that poll to the runtime.
+// If the child's slice returns before its hi (a beat or cancellation
+// deeper down), the slice calls rt.Stop for the child and returns its own
+// in-flight iteration; the runtime finishes that iteration.
+//
+// So a return below hi with no Stop recorded means the slice stopped at a
+// promotion-ready point of its own (rt.Poll returned true) or observed
+// rt.Aborted; with a Stop recorded, it stopped inside an iteration.
+//
+// env, idx, and acc follow the Body and Hook contracts. A Slice is an
+// optional fast path: leaves still define Body and interior loops their
+// children, which the serial elision (RunSeq/RunStatic) and every resume
+// path keep using.
 type Slice func(env any, idx []int64, iv, hi int64, acc any, rt SliceRT) int64
 
 // Reduction declares that a loop combines values across its iterations.
@@ -108,10 +139,11 @@ type Loop struct {
 	Bounds Bounds
 	// Body is the leaf computation. Set only on leaves.
 	Body Body
-	// Slice, if non-nil, is the leaf's monomorphic task entry: a
-	// specialized chunking loop the heartbeat executor calls instead of the
-	// generic chunk driver around Body. Leaves only, and Body is still
-	// required (the serial drivers use it).
+	// Slice, if non-nil, is the loop's monomorphic task entry: a
+	// specialized loop the heartbeat executor calls instead of its generic
+	// drivers. On a leaf, Body is still required (the serial drivers use
+	// it); on an interior loop, the loop must have exactly one child, and
+	// that child must have a Slice.
 	Slice Slice
 	// Children are the directly nested DOALL loops, executed sequentially
 	// within each iteration. Set only on interior loops.
@@ -147,7 +179,7 @@ var (
 	ErrSharedLoop = errors.New("loopnest: loop appears more than once in the nest")
 	ErrTooDeep    = errors.New("loopnest: nest exceeds maximum depth")
 	ErrNilChild   = errors.New("loopnest: nil child loop")
-	ErrSliceShape = errors.New("loopnest: Slice requires a leaf loop with a Body")
+	ErrSliceShape = errors.New("loopnest: Slice requires a leaf with a Body or one child with a Slice")
 )
 
 // MaxDepth bounds the nesting depth the runtime supports. The paper's
@@ -168,27 +200,27 @@ func (n *Nest) Validate() error {
 		if depth >= MaxDepth {
 			return fmt.Errorf("%w (%d)", ErrTooDeep, MaxDepth)
 		}
-		if seen[l] {
-			return fmt.Errorf("%w: %q", ErrSharedLoop, l.Name)
-		}
-		seen[l] = true
-		if l.Bounds == nil {
-			return fmt.Errorf("%w: %q", ErrNoBounds, l.Name)
-		}
 		hasBody := l.Body != nil
 		hasKids := len(l.Children) > 0
-		if hasBody == hasKids {
-			return fmt.Errorf("%w: %q", ErrLeafShape, l.Name)
+		var err error
+		switch {
+		case seen[l]:
+			err = ErrSharedLoop
+		case l.Bounds == nil:
+			err = ErrNoBounds
+		case hasBody == hasKids:
+			err = ErrLeafShape
+		case hasBody && (l.Pre != nil || l.Post != nil):
+			err = ErrLeafHooks
+		case l.Slice != nil && hasKids && (len(l.Children) != 1 || l.Children[0] == nil || l.Children[0].Slice == nil):
+			err = ErrSliceShape
+		case l.Reduce != nil && (l.Reduce.Fresh == nil || l.Reduce.Merge == nil):
+			err = ErrBadReduce
 		}
-		if hasBody && (l.Pre != nil || l.Post != nil) {
-			return fmt.Errorf("%w: %q", ErrLeafHooks, l.Name)
+		if err != nil {
+			return fmt.Errorf("%w: %q", err, l.Name)
 		}
-		if l.Slice != nil && !hasBody {
-			return fmt.Errorf("%w: %q", ErrSliceShape, l.Name)
-		}
-		if r := l.Reduce; r != nil && (r.Fresh == nil || r.Merge == nil) {
-			return fmt.Errorf("%w: %q", ErrBadReduce, l.Name)
-		}
+		seen[l] = true
 		for _, c := range l.Children {
 			if err := walk(c, depth+1); err != nil {
 				return err

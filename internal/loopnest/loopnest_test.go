@@ -18,7 +18,13 @@ func interior(name string, kids ...*Loop) *Loop {
 }
 
 func TestValidateAcceptsWellFormed(t *testing.T) {
+	slice := func(any, []int64, int64, int64, any, SliceRT) int64 { return 0 }
+	slicedChain := interior("o", interior("m", leaf("i")))
+	slicedChain.Slice = slice
+	slicedChain.Children[0].Slice = slice
+	slicedChain.Children[0].Children[0].Slice = slice
 	cases := []*Nest{
+		{Name: "sliced chain3", Root: slicedChain},
 		{Name: "single", Root: leaf("a")},
 		{Name: "chain2", Root: interior("o", leaf("i"))},
 		{Name: "chain3", Root: interior("o", interior("m", leaf("i")))},
@@ -43,8 +49,10 @@ func TestValidateRejections(t *testing.T) {
 	badReduce := leaf("br")
 	badReduce.Reduce = &Reduction{}
 	shared := leaf("s")
-	interiorSlice := interior("is", leaf("k"))
-	interiorSlice.Slice = func(any, []int64, int64, int64, any, SliceRT) int64 { return 0 }
+	slice := func(any, []int64, int64, int64, any, SliceRT) int64 { return 0 }
+	sliced := func(l *Loop) *Loop { l.Slice = slice; return l }
+	twoChildren := sliced(interior("tc", sliced(leaf("a")), sliced(leaf("b"))))
+	plainChild := sliced(interior("pc", leaf("k")))
 
 	cases := []struct {
 		name string
@@ -59,7 +67,8 @@ func TestValidateRejections(t *testing.T) {
 		{"bad reduce", &Nest{Root: badReduce}, ErrBadReduce},
 		{"shared loop", &Nest{Root: interior("o", shared, shared)}, ErrSharedLoop},
 		{"nil child", &Nest{Root: interior("o", nil)}, ErrNilChild},
-		{"interior slice", &Nest{Root: interiorSlice}, ErrSliceShape},
+		{"interior slice over two children", &Nest{Root: twoChildren}, ErrSliceShape},
+		{"interior slice over a child without one", &Nest{Root: plainChild}, ErrSliceShape},
 	}
 	for _, c := range cases {
 		err := c.nest.Validate()
