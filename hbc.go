@@ -84,14 +84,17 @@ type (
 	Loop = loopnest.Loop
 	// Reduction declares an associative combine across a loop's iterations.
 	Reduction = loopnest.Reduction
-	// Slice is the monomorphic task entry generated kernels emit for every
-	// level of a chain (internal/codegen): on a leaf, a specialized chunking
-	// loop in place of the generic per-chunk driver around Body; on an
-	// interior loop, whole iterations that call the child's slice directly.
+	// Slice is the task entry the runtime drives every loop through:
+	// generated kernels emit a monomorphic one for every level
+	// (internal/codegen), and Compile builds one over the closures of a
+	// loop that has none. On a leaf it is the chunking loop around the
+	// body; on an interior loop, whole iterations that call the
+	// children's slices directly.
 	Slice = loopnest.Slice
 	// SliceRT is the runtime a Slice spends its budget from and polls at
-	// promotion-ready points; interior slices also fetch child
-	// accumulators from it and record a stop inside an iteration with it.
+	// promotion-ready points; interior slices also reach their children's
+	// runtimes and accumulators through it and record a stop inside an
+	// iteration with it.
 	SliceRT = loopnest.SliceRT
 )
 

@@ -3,6 +3,7 @@ package codegen
 import (
 	"testing"
 
+	"hbc"
 	"hbc/gen"
 	_ "hbc/gen/kernels"
 )
@@ -20,6 +21,7 @@ func (r *staticRT) Budget() *int64                { return &r.budget }
 func (r *staticRT) Chunk(int64) int64             { return 64 }
 func (r *staticRT) Poll() bool                    { return false }
 func (r *staticRT) Aborted() bool                 { return false }
+func (r *staticRT) Child(int) hbc.SliceRT         { return r }
 func (r *staticRT) Acc(level int) any             { return r.accs[level] }
 func (r *staticRT) Stop(int, int64, int64, int64) {}
 

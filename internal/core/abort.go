@@ -125,15 +125,7 @@ func (ts *taskRun) containPanic(v any) *PanicError {
 	if l := ts.cur; l != nil {
 		pe.Loop = l.id
 		pe.LoopName = l.spec.Name
-		lvl := l.id.Level
-		idx := make([]int64, lvl+1)
-		copy(idx, ts.idx[:lvl])
-		if e := &ts.chain[lvl]; e.loop == l {
-			idx[lvl] = e.iv
-		} else {
-			idx[lvl] = ts.idx[lvl]
-		}
-		pe.Indices = idx
+		pe.Indices = append([]int64(nil), ts.idx[:l.id.Level+1]...)
 	}
 	return pe
 }

@@ -104,9 +104,9 @@ func (e *budgetEnv) units(depth int) int64 {
 type sliceDriver int
 
 const (
-	genericDriver  sliceDriver = iota // no Slice: runLoop and runLeaf
-	leafSlice                         // the leaf only: runLeafSlice
-	interiorSlices                    // every level: runSlice calling slices directly
+	genericDriver  sliceDriver = iota // no Slice: the slices Compile builds
+	leafSlice                         // the leaves only: built interior slices call them
+	interiorSlices                    // every level: the templates call each other directly
 )
 
 func (d sliceDriver) String() string {
@@ -142,22 +142,24 @@ func templateLeafSlice(body loopnest.Body) loopnest.Slice {
 	}
 }
 
-// templateInteriorSlice writes the emitted interior sliceTaskNestK template
-// over l's hooks and its single child's bounds, accumulator and slice: per
-// iteration Pre, the child's bounds, the accumulator reset, a direct call
-// of the child's slice (recording a stop inside it), Post, and the latch.
+// templateInteriorSlice writes the emitted interior sliceTaskNestK template,
+// extended to k children, over l's hooks and its children's bounds,
+// accumulators and slices: per iteration Pre; for each child its bounds,
+// the accumulator reset, a direct call of its slice with rt.Child (recording
+// a stop inside it) and, before the last child, the poll the child owes at
+// its hi; Post; and the latch.
 func templateInteriorSlice(l *loopnest.Loop) loopnest.Slice {
-	c := l.Children[0]
 	return func(env any, idx []int64, iv, hi int64, acc any, rt loopnest.SliceRT) int64 {
 		k := len(idx)
 		cidx := append(make([]int64, 0, k+1), idx...)
 		cidx = cidx[:k+1]
-		cacc := rt.Acc(k + 1)
-		visible := acc
-		if c.Reduce != nil {
-			visible = cacc
+		crts := make([]loopnest.SliceRT, len(l.Children))
+		caccs := make([]any, len(l.Children))
+		for c := range l.Children {
+			crts[c] = rt.Child(c)
+			caccs[c] = crts[c].Acc(k + 1)
 		}
-		children := []any{cacc}
+		last := len(l.Children) - 1
 		b := rt.Budget()
 		for iv < hi {
 			if rt.Aborted() {
@@ -167,21 +169,35 @@ func templateInteriorSlice(l *loopnest.Loop) loopnest.Slice {
 			if l.Pre != nil {
 				l.Pre(env, cidx, acc)
 			}
-			lo, chi := c.Bounds(env, cidx)
-			if c.Reduce != nil {
-				c.Reduce.Reset(cacc)
-			}
-			if lo < chi {
-				if civ := c.Slice(env, cidx, lo, chi, visible, rt); civ < chi {
-					rt.Stop(k+1, lo, civ, chi)
+			ran := false
+			for c, ch := range l.Children {
+				lo, chi := ch.Bounds(env, cidx)
+				visible := acc
+				if ch.Reduce != nil {
+					ch.Reduce.Reset(caccs[c])
+					visible = caccs[c]
+				}
+				if lo >= chi {
+					continue
+				}
+				ran = true
+				if civ := ch.Slice(env, cidx, lo, chi, visible, crts[c]); civ < chi {
+					crts[c].Stop(k+1, lo, civ, chi)
 					return iv
+				}
+				if cb := crts[c].Budget(); c < last && *cb == 0 {
+					*cb = crts[c].Chunk(0)
+					if crts[c].Poll() {
+						crts[c].Stop(k+1, lo, chi, chi)
+						return iv
+					}
 				}
 			}
 			if l.Post != nil {
-				l.Post(env, cidx, acc, children)
+				l.Post(env, cidx, acc, caccs)
 			}
 			iv++
-			if lo >= chi {
+			if !ran {
 				if *b <= 0 {
 					*b = rt.Chunk(hi - iv)
 				}
@@ -279,17 +295,7 @@ func budgetNest(depth int, d sliceDriver) *loopnest.Nest {
 // unit, where nothing is left to promote. That is ⌊(units − 1) / chunk⌋
 // polls. The test stops at the first failing combination.
 func TestBudgetEdgesExactlyOnce(t *testing.T) {
-	type source struct {
-		name string
-		mk   func() pulse.Source
-	}
-	sources := []source{
-		{"always", func() pulse.Source { return pulse.NewAlways() }},
-		{"never", func() pulse.Source { return pulse.NewNever() }},
-	}
-	for n := int64(1); n <= 5; n++ {
-		sources = append(sources, source{fmt.Sprintf("every%d", n), func() pulse.Source { return pulse.NewEveryN(n) }})
-	}
+	sources := budgetSources()
 	for _, depth := range []int{2, 3} {
 		want := newBudgetEnv(10)
 		MustCompile(budgetNest(depth, genericDriver), Options{}).RunSeq(want)
@@ -329,6 +335,25 @@ func TestBudgetEdgesExactlyOnce(t *testing.T) {
 	}
 }
 
+// budgetSource is a named heartbeat source shape of the budget tests.
+type budgetSource struct {
+	name string
+	mk   func() pulse.Source
+}
+
+// budgetSources returns the source shapes the budget tests run under: one
+// that always fires, one that never does, and every n-th poll for n 1–5.
+func budgetSources() []budgetSource {
+	sources := []budgetSource{
+		{"always", func() pulse.Source { return pulse.NewAlways() }},
+		{"never", func() pulse.Source { return pulse.NewNever() }},
+	}
+	for n := int64(1); n <= 5; n++ {
+		sources = append(sources, budgetSource{fmt.Sprintf("every%d", n), func() pulse.Source { return pulse.NewEveryN(n) }})
+	}
+	return sources
+}
+
 // budgetCase names one combination, leaving out the defaults (depth 2,
 // outer-first): "slice=true/hbc/chunk2/every3",
 // "depth3/slice=all/tpal/inner-first/chunk1/always".
@@ -346,7 +371,7 @@ func budgetCase(depth int, d sliceDriver, mode Mode, pol Policy, chunk int64, sr
 // runBudget runs the nest once on two workers. A driver that re-runs an
 // iteration forever under a source that always fires would hang the test;
 // the deadline cancels the run instead, and the error fails it.
-func runBudget(t *testing.T, p *Program, src pulse.Source, env *budgetEnv) {
+func runBudget(t *testing.T, p *Program, src pulse.Source, env any) {
 	t.Helper()
 	team := sched.NewTeam(2)
 	defer team.Close()
@@ -439,4 +464,142 @@ func TestInteriorSliceFailures(t *testing.T) {
 		t.Fatalf("run after the failures: %v", err)
 	}
 	checkBudgetOnce(t, env, want, 3, "run after the failures")
+}
+
+// bushyBudgetEnv is the bushy nest of TestBushyTreeExecutionUnderPromotion
+// — r(7) → {ma(5) → {la(4), lb(4)}, mb(3) → {lc(4)}} — with every piece of
+// work counted: visits[cell*1000+i*100+j*10+v] for each leaf iteration,
+// maPres and maPosts for ma's Pre and tail, mbPosts for mb's tail. Each leaf
+// sums into its own reduction, and the tails record the sums, so the
+// children accumulators of an iteration with siblings are checked too. The
+// sparse variant shortens lb and lc by their indices, often to nothing: an
+// iteration of ma whose last child ran nothing after la ran, and idle
+// iterations of mb.
+type bushyBudgetEnv struct {
+	visits  []atomic.Int32
+	maPres  []atomic.Int32
+	maPosts []atomic.Int32
+	mbPosts []atomic.Int32
+	out     []int64
+}
+
+func newBushyBudgetEnv() *bushyBudgetEnv {
+	return &bushyBudgetEnv{
+		visits:  make([]atomic.Int32, 3000),
+		maPres:  make([]atomic.Int32, 7*10),
+		maPosts: make([]atomic.Int32, 7*10),
+		mbPosts: make([]atomic.Int32, 7*10),
+		out:     make([]int64, 2*7*10),
+	}
+}
+
+// bushyBudgetNest builds the bushy nest; d selects the loops carrying a
+// Slice written to the emitted templates.
+func bushyBudgetNest(d sliceDriver, sparse bool) *loopnest.Nest {
+	leaf := func(name string, cell int64) *loopnest.Loop {
+		bounds := loopnest.RangeN(4)
+		if sparse && cell > 0 {
+			bounds = func(_ any, idx []int64) (int64, int64) { return 0, (idx[0]*cell + idx[1]) % 3 }
+		}
+		l := &loopnest.Loop{Name: name, Bounds: bounds, Reduce: loopnest.SumInt64(),
+			Body: func(env any, idx []int64, lo, hi int64, acc any) {
+				e := env.(*bushyBudgetEnv)
+				for v := lo; v < hi; v++ {
+					e.visits[cell*1000+idx[0]*100+idx[1]*10+v].Add(1)
+					*acc.(*int64) += v + 1 + cell*10
+				}
+			}}
+		if d >= leafSlice {
+			l.Slice = templateLeafSlice(l.Body)
+		}
+		return l
+	}
+	ma := &loopnest.Loop{Name: "ma", Bounds: loopnest.RangeN(5),
+		Children: []*loopnest.Loop{leaf("la", 0), leaf("lb", 1)},
+		Pre: func(env any, idx []int64, _ any) {
+			env.(*bushyBudgetEnv).maPres[idx[0]*10+idx[1]].Add(1)
+		},
+		Post: func(env any, idx []int64, _ any, children []any) {
+			e := env.(*bushyBudgetEnv)
+			e.out[idx[0]*10+idx[1]] = *children[0].(*int64)*1000 + *children[1].(*int64)
+			e.maPosts[idx[0]*10+idx[1]].Add(1)
+		}}
+	mb := &loopnest.Loop{Name: "mb", Bounds: loopnest.RangeN(3),
+		Children: []*loopnest.Loop{leaf("lc", 2)},
+		Post: func(env any, idx []int64, _ any, children []any) {
+			e := env.(*bushyBudgetEnv)
+			e.out[70+idx[0]*10+idx[1]] = *children[0].(*int64)
+			e.mbPosts[idx[0]*10+idx[1]].Add(1)
+		}}
+	root := &loopnest.Loop{Name: "r", Bounds: loopnest.RangeN(7),
+		Children: []*loopnest.Loop{ma, mb}}
+	if d == interiorSlices {
+		for _, l := range []*loopnest.Loop{ma, mb, root} {
+			l.Slice = templateInteriorSlice(l)
+		}
+	}
+	return &loopnest.Nest{Name: "bushy-budget", Root: root}
+}
+
+// bushyNeverPolls[sparse][chunk-1] is the poll count of the bushy nest
+// under a never-firing source. No chain formula covers siblings, so the
+// counts are the ones the per-loop generic drivers gave before every loop
+// ran as a slice task.
+var bushyNeverPolls = [2][4]int64{{363, 181, 119, 90}, {201, 100, 66, 49}}
+
+// TestBushyBudgetExactlyOnce runs the bushy nest under every source shape,
+// both promotion modes, chunks 1–4 and every driver on two workers,
+// requiring the serial elision's output and every leaf iteration, Pre and
+// tail executed exactly once, and under a never-firing source the poll
+// count bushyNeverPolls records.
+func TestBushyBudgetExactlyOnce(t *testing.T) {
+	sources := budgetSources()
+	for si, sparse := range []bool{false, true} {
+		want := newBushyBudgetEnv()
+		MustCompile(bushyBudgetNest(genericDriver, sparse), Options{}).RunSeq(want)
+		for _, d := range []sliceDriver{genericDriver, leafSlice, interiorSlices} {
+			for _, mode := range []Mode{ModeHBC, ModeTPAL} {
+				for _, chunk := range []int64{1, 2, 3, 4} {
+					for _, s := range sources {
+						name := fmt.Sprintf("%v/%v/chunk%d/%s", d, mode, chunk, s.name)
+						if sparse {
+							name = "sparse/" + name
+						}
+						ok := t.Run(name, func(t *testing.T) {
+							p := MustCompile(bushyBudgetNest(d, sparse), Options{
+								Mode:  mode,
+								Chunk: ChunkPolicy{Kind: ChunkStatic, Size: chunk},
+							})
+							env := newBushyBudgetEnv()
+							src := s.mk()
+							runBudget(t, p, src, env)
+							int64sEqual(t, env.out, want.out, name)
+							for _, c := range []struct {
+								what   string
+								counts []atomic.Int32
+								ran    []atomic.Int32
+							}{
+								{"leaf iteration", env.visits, want.visits},
+								{"ma Pre", env.maPres, want.maPres},
+								{"ma tail", env.maPosts, want.maPosts},
+								{"mb tail", env.mbPosts, want.mbPosts},
+							} {
+								for i := range c.counts {
+									if got, w := c.counts[i].Load(), c.ran[i].Load(); got != w {
+										t.Fatalf("%s %d ran %d times, want %d", c.what, i, got, w)
+									}
+								}
+							}
+							if got, w := src.Stats().Polls, bushyNeverPolls[si][chunk-1]; s.name == "never" && got != w {
+								t.Fatalf("polls = %d, want %d", got, w)
+							}
+						})
+						if !ok {
+							t.FailNow()
+						}
+					}
+				}
+			}
+		}
+	}
 }

@@ -8,12 +8,14 @@
 //   - the interprocedural loop-nesting tree with (level, index) loop IDs
 //     (§3.1, outlining — here each loop body is already an outlined closure);
 //   - loop-slice tasks: for every loop, an entry point that executes an
-//     arbitrary slice [lo, hi) of its iterations from an LST context (§3.2);
-//   - the chunking transformation with chunk-size transferring (§3.2);
+//     arbitrary slice [lo, hi) of its iterations from an LST context (§3.2)
+//     — the nest's own Slice, or one Compile builds from the loop's body or
+//     children and hooks — with the chunking transformation and chunk-size
+//     transferring inside it (§3.2);
 //   - leftover tasks for every (promoted-at, split) loop pair, generated by
 //     Algorithms 1 and 2 (§3.3), sharing one code body per pair;
-//   - the loop-slice task array and the leftover task table giving the
-//     promotion handler O(1) access to the task triple (§3.4).
+//   - the slice task on each compiled loop and the leftover task table,
+//     giving the promotion handler O(1) access to the task triple (§3.4).
 //
 // Exec is the heartbeat runtime (§5): it runs a compiled Program on a
 // work-stealing team, polls a heartbeat source at promotion-ready points,
@@ -323,9 +325,22 @@ type cloop struct {
 	// scope is the nearest loop at or above this one with a Reduce, or nil.
 	// Bodies and hooks below this loop accumulate into scope's accumulator.
 	scope *cloop
+	// slice is the loop-slice task the executor drives the loop through:
+	// the spec's Slice, or one built from its Body or children and hooks.
+	slice loopnest.Slice
 }
 
 func (c *cloop) leaf() bool { return c.leafOrd >= 0 }
+
+// spendPath returns the loop at level on c's spend path: c, its last
+// child, that child's last child, and so on down to the leaf whose budget
+// they all spend.
+func (c *cloop) spendPath(level int) *cloop {
+	for c.id.Level < level {
+		c = c.children[len(c.children)-1]
+	}
+	return c
+}
 
 // Program is a compiled loop nest: the output of the HBC middle-end analog,
 // ready to execute under heartbeat scheduling (via Exec) or sequentially
@@ -335,8 +350,7 @@ type Program struct {
 	Nest *loopnest.Nest
 
 	opts   Options
-	loops  []*cloop   // preorder
-	levels [][]*cloop // the loop-slice task array: [level][index] (§3.4)
+	loops  []*cloop // preorder
 	leaves []*cloop
 	depth  int
 	// leftovers is the leftover task table (§3.4): leftovers[li.ord][lj.level]
@@ -344,9 +358,6 @@ type Program struct {
 	// level lj.level gets split". The (ord, level) key is a perfect hash of
 	// the paper's (loop ID, loop ID) pair domain.
 	leftovers [][]*leftoverTask
-	// hasSlice records whether any loop defines a monomorphic Slice entry,
-	// so taskRuns for slice-free programs skip the SliceRT scaffolding.
-	hasSlice bool
 }
 
 // Compile lowers a validated loop nest into a Program. It is the analog of
@@ -374,13 +385,13 @@ func MustCompile(nest *loopnest.Nest, opts Options) *Program {
 }
 
 // outline builds the interprocedural loop-nesting tree with (level, index)
-// IDs and the loop-slice task array — the §3.1 pass. The loop bodies are
+// IDs and each loop's slice task — the §3.1 pass. The loop bodies are
 // already closures (Go outlines for us), so the pass's work is the tree,
-// the IDs, and the reduction-scope resolution that stands in for live-in /
-// live-out closure analysis.
+// the IDs, the reduction-scope resolution that stands in for live-in /
+// live-out closure analysis, and a Slice for every loop the nest gave none:
+// the emitted templates written once over the loop's closures.
 func (p *Program) outline() {
 	counters := make([]int, p.depth)
-	p.levels = make([][]*cloop, p.depth)
 	var walk func(l *loopnest.Loop, parent *cloop, slot, level int) *cloop
 	walk = func(l *loopnest.Loop, parent *cloop, slot, level int) *cloop {
 		c := &cloop{
@@ -393,14 +404,18 @@ func (p *Program) outline() {
 		}
 		counters[level]++
 		p.loops = append(p.loops, c)
-		if l.Slice != nil {
-			p.hasSlice = true
-		}
-		p.levels[level] = append(p.levels[level], c)
 		if l.Reduce != nil {
 			c.scope = c
 		} else if parent != nil {
 			c.scope = parent.scope
+		}
+		switch {
+		case l.Slice != nil:
+			c.slice = l.Slice
+		case l.Leaf():
+			c.slice = c.leafSlice
+		default:
+			c.slice = c.interiorSlice
 		}
 		if l.Leaf() {
 			c.leafOrd = len(p.leaves)

@@ -252,7 +252,7 @@ func (x *Exec) RunCtx(ctx context.Context) (result any, err error) {
 			ts := newTaskRun(x, w)
 			ts.guarded(func() {
 				root := x.prog.loops[0]
-				ts.setupInvocation(root, nil)
+				ts.setupInvocation(root)
 				if pl := ts.runLoop(root); pl != noPromo {
 					panic("core: promotion escaped the root loop")
 				}
@@ -305,19 +305,18 @@ type taskRun struct {
 	// promotion-ready point, one per leaf loop, carried across leaf-loop
 	// invocations within the task (chunk-size transferring, §3.2). Interior
 	// latches spend from their loop's spendOrd entry, so R carries across
-	// levels as well.
+	// levels as well. A task starts every R at -1: no chunk drawn yet, so
+	// a zero always means a chunk ran out and its poll is owed.
 	budget []int64
-	// spent counts every unit debited from any budget by this task. A latch
-	// compares it across one iteration to tell whether the iteration's
-	// children already paid for it.
-	spent int64
 	// owed records a budget that ran out exactly at the end of an
 	// invocation whose poll was left to the enclosing latch (exhausted).
 	owed bool
-	// srt holds one SliceRT per leaf for programs with monomorphic Slice
-	// entries (nil otherwise). Entries reference this taskRun by pointer,
-	// so the scaffolding is built once per taskRun and survives pooling —
-	// a slice-task invocation allocates nothing.
+	// stop is the deepest level a slice recorded with Stop since the
+	// driver last entered one, or -1 when none did.
+	stop int
+	// srt holds one SliceRT per loop. Entries reference this taskRun by
+	// pointer, so the scaffolding is built once per taskRun and survives
+	// pooling — a slice-task invocation allocates nothing.
 	srt []sliceRT
 	// accPool holds a reusable accumulator per loop ordinal, so reductions
 	// do not allocate per iteration. Entries are surrendered (nil'd) when a
@@ -337,43 +336,42 @@ func newTaskRun(x *Exec, w *sched.Worker) *taskRun {
 		chain:     make([]lst, p.depth),
 		idx:       make([]int64, p.depth),
 		budget:    make([]int64, len(p.leaves)),
+		srt:       make([]sliceRT, len(p.loops)),
 		accPool:   make([]any, len(p.loops)),
 		childAccs: make([][]any, p.depth),
 	}
-	if p.hasSlice {
-		ts.srt = make([]sliceRT, len(p.leaves))
-		for ord := range ts.srt {
-			ts.srt[ord] = sliceRT{ts: ts, ord: ord, stop: -1}
-		}
+	for i := range ts.budget {
+		ts.budget[i] = -1
+	}
+	for i, l := range p.loops {
+		ts.srt[i] = sliceRT{ts: ts, l: l}
 	}
 	return ts
 }
 
-// sliceRT adapts a taskRun to the loopnest.SliceRT interface for the
-// slices spending one leaf's budget: the leaf's own and its single-child
-// ancestors'. Passed as *sliceRT, so the interface conversion does not
-// allocate.
+// sliceRT adapts a taskRun to the loopnest.SliceRT interface for the slice
+// of loop l, which spends l's budget. Passed as *sliceRT, so the interface
+// conversion does not allocate.
 type sliceRT struct {
-	ts  *taskRun
-	ord int
-	// stop is the deepest level an interior slice recorded with Stop since
-	// the driver last entered it, or -1 when none did.
-	stop int
+	ts *taskRun
+	l  *cloop
 }
 
-func (rt *sliceRT) Budget() *int64 { return &rt.ts.budget[rt.ord] }
+func (rt *sliceRT) Budget() *int64 { return &rt.ts.budget[rt.l.spendOrd] }
 
-func (rt *sliceRT) Chunk(remaining int64) int64 { return rt.ts.chunkFor(rt.ord, remaining) }
+func (rt *sliceRT) Chunk(remaining int64) int64 { return rt.ts.chunkFor(rt.l.spendOrd, remaining) }
 
-func (rt *sliceRT) Poll() bool    { return rt.ts.poll(rt.ord) }
+func (rt *sliceRT) Poll() bool    { return rt.ts.poll(rt.l.spendOrd) }
 func (rt *sliceRT) Aborted() bool { return rt.ts.aborted() }
 
-// Acc returns the task's scratch accumulator for the loop at level on the
-// leaf's chain — the one accForLoop would reset for its next invocation —
+func (rt *sliceRT) Child(k int) loopnest.SliceRT { return &rt.ts.srt[rt.l.children[k].ord] }
+
+// Acc returns the task's scratch accumulator for the loop at level on l's
+// spend path — the one accForLoop would reset for its next invocation —
 // creating it when a promotion surrendered it.
 func (rt *sliceRT) Acc(level int) any {
 	ts := rt.ts
-	c := ancestorAt(ts.x.prog.leaves[rt.ord], level)
+	c := rt.l.spendPath(level)
 	a := ts.accPool[c.ord]
 	if a == nil && c.spec.Reduce != nil {
 		a = c.spec.Reduce.Fresh()
@@ -382,22 +380,30 @@ func (rt *sliceRT) Acc(level int) any {
 	return a
 }
 
-// Stop writes a stopped invocation into the task's LST chain, exactly as
-// setupInvocation and the generic drivers would have left it: the loop at
-// level ran [lo, iv) into its Acc accumulator, and iv is its next
-// unstarted iteration if it is the innermost stop, its in-flight one
-// otherwise.
-func (rt *sliceRT) Stop(level int, lo, iv, hi int64) {
-	ts := rt.ts
-	if rt.stop < 0 {
-		rt.stop = level
+func (rt *sliceRT) Stop(level int, lo, iv, hi int64) { rt.ts.stopAt(rt.l.spendPath(level), lo, iv, hi) }
+
+// stopAt writes a stopped invocation of loop c into the task's LST chain,
+// exactly as setupInvocation and the driver would have left it: c ran
+// [lo, iv) into its scratch accumulator, and iv is its next unstarted
+// iteration if it is the innermost stop, its in-flight one otherwise. The
+// parent's entry records c as the child in flight.
+func (ts *taskRun) stopAt(c *cloop, lo, iv, hi int64) {
+	lvl := c.id.Level
+	if ts.stop < 0 {
+		ts.stop = lvl
 	}
-	c := ancestorAt(ts.x.prog.leaves[rt.ord], level)
-	e := &ts.chain[level]
+	e := &ts.chain[lvl]
 	e.loop = c
 	e.lo, e.iv, e.hi = lo, iv, hi
-	e.childPos = 0
 	e.acc = ts.accPool[c.ord]
+	// The siblings before c ran into their scratch accumulators, which the
+	// iteration's tail hands to Post.
+	par := c.parent
+	ts.chain[lvl-1].childPos = c.slot
+	ca := ts.childAccsFor(par)
+	for i, sib := range par.children[:c.slot] {
+		ca[i] = ts.accPool[sib.ord]
+	}
 }
 
 // getTaskRun returns a taskRun for a promoted slice or leftover task,
@@ -530,7 +536,7 @@ func (ts *taskRun) aborted() bool { return ts.ctl != nil && ts.ctl.canceled() }
 
 // setupInvocation initializes the chain entry for a new invocation of loop
 // l, computing its bounds from the enclosing indices.
-func (ts *taskRun) setupInvocation(l *cloop, _ *lst) {
+func (ts *taskRun) setupInvocation(l *cloop) {
 	ts.cur = l
 	lo, hi := l.spec.Bounds(ts.x.env, ts.idx[:l.id.Level])
 	e := &ts.chain[l.id.Level]
@@ -553,27 +559,59 @@ func (ts *taskRun) childAccsFor(l *cloop) []any {
 	return ca
 }
 
-// runLoop drives the invocation of loop l described by chain[l.level],
-// executing iterations iv..hi. It returns noPromo when the invocation is
-// complete (all iterations accounted for, possibly via promotion), or the
-// level of an outer loop that a promotion split, which the drivers unwind
-// to. Invariant: the returned level is strictly above l.
+// runLoop drives the invocation of loop l described by chain[l.level]
+// through l's slice — the one driver of every loop, whether its slice was
+// generated, hand-written, or built at Compile. A return below hi with no
+// stop recorded is a promotion-ready point of l itself (or a cancellation):
+// promote at l and re-enter. A return at hi with R at zero ended the
+// invocation on a spent chunk or latch, whose poll falls to exhausted. A
+// stop inside an iteration (ts.stop >= 0) left the stopped levels'
+// (lo, iv, hi) in the chain: promote at the deepest, finish the in-flight
+// iterations with the Algorithm-2 walk, close l's with its latch, and
+// re-enter. It returns noPromo when the invocation is complete (all
+// iterations accounted for, possibly via promotion), or the level of an
+// outer loop that a promotion split, which the drivers unwind to.
+// Invariant: the returned level is strictly above l.
 func (ts *taskRun) runLoop(l *cloop) int {
-	if l.leaf() {
-		return ts.runLeaf(l)
-	}
-	if sl := l.spec.Slice; sl != nil {
-		return ts.runSlice(l, sl)
-	}
 	e := &ts.chain[l.id.Level]
+	lvl := l.id.Level
+	rt := &ts.srt[l.ord]
+	acc := ts.accVisible(l)
+	idx := ts.idx[:lvl]
 	for e.iv < e.hi {
-		// Interior-loop safepoint: a cancelled run abandons its remaining
-		// iterations here, the same boundary a heartbeat poll sits on.
+		// Safepoint: a cancelled run abandons the rest of the invocation
+		// here, the same boundary a heartbeat poll sits on.
 		if ts.aborted() {
 			return noPromo
 		}
-		if pl := ts.iterate(l); pl != noPromo {
-			if pl < l.id.Level {
+		ts.cur, ts.idx[lvl], ts.stop = l, e.iv, -1
+		e.iv = l.slice(ts.x.env, idx, e.iv, e.hi, acc, rt)
+		var pl int
+		switch {
+		case ts.stop >= 0:
+			if ts.aborted() {
+				return noPromo
+			}
+			for m := lvl; m < ts.stop; m++ {
+				ts.idx[m] = ts.chain[m].iv
+			}
+			deep := ts.chain[ts.stop].loop
+			if pl = ts.walk(deep, l, ts.x.promote(ts, deep)); pl == noPromo {
+				pl = ts.latch(l)
+			}
+		case e.iv >= e.hi:
+			if ts.budget[l.spendOrd] == 0 {
+				return ts.exhausted(l)
+			}
+			return noPromo
+		default:
+			if ts.aborted() {
+				return noPromo
+			}
+			pl = ts.x.promote(ts, l)
+		}
+		if pl != noPromo {
+			if pl < lvl {
 				return pl
 			}
 			// pl == l's level: this loop was split; its remaining iterations
@@ -585,46 +623,120 @@ func (ts *taskRun) runLoop(l *cloop) int {
 	return noPromo
 }
 
-// iterate runs interior loop l's iteration chain[l.level].iv through the
-// generic pieces — Pre, the children, Post, the latch — and returns
-// noPromo, or the level (at or above l) of a loop a promotion split.
-func (ts *taskRun) iterate(l *cloop) int {
-	lvl := l.id.Level
-	ts.idx[lvl] = ts.chain[lvl].iv
-	if l.spec.Pre != nil {
-		ts.cur = l
-		l.spec.Pre(ts.x.env, ts.idx[:lvl+1], ts.accVisible(l))
+// leafSlice is the Slice Compile gives a leaf that has none: the emitted
+// leaf template (codegen's sliceTaskNestK) written once, calling Body where
+// the emitter inlines the loop. It keeps the task's panic attribution on
+// the chunk in flight.
+func (c *cloop) leafSlice(env any, idx []int64, iv, hi int64, acc any, srt loopnest.SliceRT) int64 {
+	rt := srt.(*sliceRT)
+	b := rt.Budget()
+	for iv < hi {
+		r := *b
+		if r <= 0 {
+			if rt.Aborted() {
+				return iv
+			}
+			r = rt.Chunk(hi - iv)
+		}
+		n := min(r, hi-iv)
+		rt.ts.cur, rt.ts.idx[c.id.Level] = c, iv
+		c.spec.Body(env, idx, iv, iv+n, acc)
+		iv += n
+		r -= n
+		*b = r
+		if r == 0 && iv < hi {
+			*b = rt.Chunk(hi - iv)
+			if rt.Poll() || rt.Aborted() {
+				return iv
+			}
+		}
 	}
-	spent := ts.spent
-	if pl := ts.runChildren(l, 0); pl != noPromo {
-		return pl
-	}
-	if l.spec.Post != nil {
-		ts.cur = l
-		l.spec.Post(ts.x.env, ts.idx[:lvl+1], ts.accVisible(l), ts.childAccs[lvl])
-	}
-	return ts.latch(l, ts.spent == spent)
+	return iv
 }
 
-// latch is the promotion-ready point of an interior DOALL loop (§3.2),
-// closing its in-flight iteration. It spends from the same budget R as the
-// leaf: an iteration costs at least one unit (idle, when its children ran
-// nothing), and only a budget that reaches zero polls — here, or in a child
-// whose invocation it ended and which left the poll owed.
-func (ts *taskRun) latch(l *cloop, idle bool) int {
-	e := &ts.chain[l.id.Level]
-	e.iv++
-	due := ts.owed
-	if idle {
-		sp := l.spendOrd
-		if ts.budget[sp] <= 0 {
-			ts.budget[sp] = ts.chunkFor(sp, e.hi-e.iv)
+// interiorSlice is the Slice Compile gives an interior loop that has none:
+// the emitted interior template written once for k children, calling the
+// children's Bounds and slices and the loop's hooks where the emitter
+// inlines them. Only the driver and other built slices call it, always on
+// the task's own index vector, so idx has room for this loop's index; the
+// children's accumulators are the ones tailOf and Post read.
+func (c *cloop) interiorSlice(env any, idx []int64, iv, hi int64, acc any, srt loopnest.SliceRT) int64 {
+	rt := srt.(*sliceRT)
+	ts := rt.ts
+	lvl := c.id.Level
+	cidx := idx[:lvl+1]
+	ca := ts.childAccsFor(c)
+	last := len(c.children) - 1
+	b := rt.Budget()
+	for iv < hi {
+		if rt.Aborted() {
+			return iv
 		}
-		ts.budget[sp]--
-		ts.spent++
-		due = due || ts.budget[sp] == 0
+		cidx[lvl] = iv
+		if c.spec.Pre != nil {
+			ts.cur = c
+			c.spec.Pre(env, cidx, acc)
+		}
+		ran := false
+		for k, ch := range c.children {
+			ts.cur = ch
+			lo, chi := ch.spec.Bounds(env, cidx)
+			a := ts.accForLoop(ch)
+			ca[k] = a
+			if lo >= chi {
+				continue
+			}
+			ran = true
+			vis := acc
+			if a != nil {
+				vis = a
+			}
+			crt := &ts.srt[ch.ord]
+			if civ := ch.slice(env, cidx, lo, chi, vis, crt); civ < chi {
+				ts.stopAt(ch, lo, civ, chi)
+				return iv
+			}
+			// A child before the last spends its own R, so the poll its
+			// chunk owes at its hi is taken here, not at this latch.
+			if cb := crt.Budget(); k < last && *cb == 0 {
+				*cb = crt.Chunk(0)
+				if crt.Poll() {
+					ts.stopAt(ch, lo, chi, chi)
+					return iv
+				}
+			}
+		}
+		if c.spec.Post != nil {
+			ts.cur = c
+			c.spec.Post(env, cidx, acc, ca)
+		}
+		iv++
+		if !ran {
+			if *b <= 0 {
+				*b = rt.Chunk(hi - iv)
+			}
+			*b--
+		}
+		if *b == 0 {
+			if iv >= hi {
+				return iv
+			}
+			*b = rt.Chunk(hi - iv)
+			if rt.Poll() {
+				return iv
+			}
+		}
 	}
-	if due {
+	return iv
+}
+
+// latch closes loop l's in-flight iteration (§3.2) where the walk finished
+// it. The iteration's children already paid for it, so the latch debits
+// nothing; it polls only for a child invocation that ended with its poll
+// owed.
+func (ts *taskRun) latch(l *cloop) int {
+	ts.chain[l.id.Level].iv++
+	if ts.owed {
 		return ts.exhausted(l)
 	}
 	return noPromo
@@ -639,7 +751,7 @@ func (ts *taskRun) runChildren(l *cloop, from int) int {
 	for ci := from; ci < len(l.children); ci++ {
 		e.childPos = ci
 		c := l.children[ci]
-		ts.setupInvocation(c, e)
+		ts.setupInvocation(c)
 		if pl := ts.runLoop(c); pl != noPromo {
 			return pl
 		}
@@ -671,185 +783,35 @@ func (ts *taskRun) tailOf(l *cloop) int {
 	return noPromo
 }
 
-// runLeaf drives a leaf-loop invocation through the chunking transformation
-// (§3.2): execute min(R, left) iterations, and when the private budget R
-// reaches zero — a full chunk completed — hit the promotion-ready point.
-// A partially finished chunk carries its residue into the task's next
-// invocation of the same leaf (chunk-size transferring).
-func (ts *taskRun) runLeaf(l *cloop) int {
-	e := &ts.chain[l.id.Level]
-	lvl := l.id.Level
-	ord := l.leafOrd
-	env := ts.x.env
-	acc := ts.accVisible(l)
-	idx := ts.idx[:lvl]
-	if sl := l.spec.Slice; sl != nil {
-		return ts.runLeafSlice(l, sl, e, acc, idx)
-	}
-	for e.iv < e.hi {
-		// Leaf safepoint: a cancelled run abandons the rest of the
-		// invocation at the chunk boundary, where the heartbeat poll sits.
-		if ts.aborted() {
-			return noPromo
-		}
-		r := ts.budget[ord]
-		if r <= 0 {
-			r = ts.chunkFor(ord, e.hi-e.iv)
-		}
-		n := r
-		if left := e.hi - e.iv; left < n {
-			n = left
-		}
-		ts.cur = l
-		l.spec.Body(env, idx, e.iv, e.iv+n, acc)
-		e.iv += n
-		ts.spent += n
-		ts.budget[ord] = r - n
-		if r == n {
-			if pl := ts.exhausted(l); pl != noPromo {
-				return pl
-			}
-		}
-	}
-	return noPromo
-}
-
-// runLeafSlice drives a leaf through its monomorphic Slice entry: the slice
-// owns the chunking loop (budget bookkeeping, chunk-size transferring, and
-// heartbeat polls inlined at its loop body), and returns the next unstarted
-// iteration. A return before hi means the slice stopped at a promotion-ready
-// point — rt.Poll detected a heartbeat, or the run was cancelled — so this
-// driver only runs the promotion handler and re-enters. A return at hi with
-// R at zero is a chunk that ended the invocation, whose poll the slice left
-// to this driver. The generic per-chunk driver above stays entirely off the
-// hot path.
-func (ts *taskRun) runLeafSlice(l *cloop, sl loopnest.Slice, e *lst, acc any, idx []int64) int {
-	lvl := l.id.Level
-	env := ts.x.env
-	rt := &ts.srt[l.leafOrd]
-	for e.iv < e.hi {
-		if ts.aborted() {
-			return noPromo
-		}
-		ts.cur = l
-		iv := sl(env, idx, e.iv, e.hi, acc, rt)
-		ts.spent += iv - e.iv
-		e.iv = iv
-		if e.iv >= e.hi {
-			if ts.budget[l.leafOrd] == 0 {
-				return ts.exhausted(l)
-			}
-			break
-		}
-		if ts.aborted() {
-			return noPromo
-		}
-		if pl := ts.x.promote(ts, l); pl != noPromo {
-			if pl < lvl {
-				return pl
-			}
-			return noPromo
-		}
-	}
-	return noPromo
-}
-
-// runSlice drives an interior loop through its monomorphic Slice entry,
-// which runs whole iterations inline — calling its child's slice directly —
-// and returns the next unstarted one. Like runLeafSlice, a return at hi
-// with R at zero leaves this driver the owed poll, and a return below hi
-// with no stop recorded is a latch stop: promote at l and re-enter. A stop
-// inside an iteration (rt.stop >= 0) left the stopped levels' (lo, iv, hi)
-// in the chain: promote at the deepest, finish the in-flight iterations
-// with the generic pieces (resume), and re-enter at l's next iteration.
-func (ts *taskRun) runSlice(l *cloop, sl loopnest.Slice) int {
-	e := &ts.chain[l.id.Level]
-	lvl := l.id.Level
-	env := ts.x.env
-	rt := &ts.srt[l.spendOrd]
-	acc := ts.accVisible(l)
-	idx := ts.idx[:lvl]
-	for e.iv < e.hi {
-		if ts.aborted() {
-			return noPromo
-		}
-		var pl int
-		if ts.owed {
-			// A poll owed from before this entry (a leftover resumes a loop
-			// past the latch of its in-flight iteration) is taken at this
-			// iteration's latch, which the slice cannot see: run it
-			// generically.
-			pl = ts.iterate(l)
-		} else {
-			ts.cur = l
-			rt.stop = -1
-			iv := sl(env, idx, e.iv, e.hi, acc, rt)
-			ts.spent += iv - e.iv
-			e.iv = iv
-			switch {
-			case rt.stop >= 0:
-				// The in-flight iteration iv ran part of its children.
-				ts.spent++
-				if ts.aborted() {
-					return noPromo
-				}
-				for m := lvl; m < rt.stop; m++ {
-					ts.idx[m] = ts.chain[m].iv
-				}
-				deep := ancestorAt(ts.x.prog.leaves[l.spendOrd], rt.stop)
-				pl = ts.resume(l, deep, ts.x.promote(ts, deep))
-			case iv >= e.hi:
-				if ts.budget[l.spendOrd] == 0 {
-					return ts.exhausted(l)
-				}
-				return noPromo
-			default:
-				if ts.aborted() {
-					return noPromo
-				}
-				pl = ts.x.promote(ts, l)
-			}
-		}
-		if pl != noPromo {
-			if pl < lvl {
-				return pl
-			}
-			return noPromo
-		}
-	}
-	return noPromo
-}
-
-// resume finishes, with the generic pieces, what a stop inside interior
-// loop l's in-flight iteration left undone, given pl, the result of the
-// promotion at the deepest stopped loop deep: the rest of deep's
-// invocation (unless a promotion completed it), then, for each loop from
-// deep's parent up to l, the tail of its in-flight iteration and its
-// latch, and — below l — its remaining iterations. Each of those loops had
-// its children run in the in-flight iteration, so its latch debits
-// nothing. It returns noPromo once l's in-flight iteration is closed, or
-// the level (at or above l) of a loop a promotion split.
-func (ts *taskRun) resume(l, deep *cloop, pl int) int {
+// walk is Algorithm 2, shared by the driver finishing a stopped iteration
+// and by the leftover task: it completes the rest of deep's invocation —
+// unless pl, the result of a promotion at deep, says a split already did —
+// then, for each loop from deep's parent up to top, the tail of its
+// in-flight iteration and, below top, its latch and remaining iterations.
+// A nested promotion at level q hands everything at levels >= q to new
+// tasks, so the walk goes on from q's parent. A poll owed where an
+// invocation ended is taken at the next latch the walk runs, or dropped
+// with the task's end. It returns noPromo once top's tail is done, or the
+// level (at or above top) of a loop a promotion split.
+func (ts *taskRun) walk(deep, top *cloop, pl int) int {
 	cur := deep
 	if pl == noPromo {
 		pl = ts.runLoop(deep)
 	}
 	for {
 		if pl != noPromo {
-			if pl <= l.id.Level {
+			if pl <= top.id.Level {
 				return pl
 			}
-			// The split loop's invocation is complete; the walk goes on
-			// from its parent.
 			cur = ancestorAt(deep, pl)
 		}
 		par := cur.parent
 		pl = ts.tailOf(par)
-		if pl == noPromo {
-			pl = ts.latch(par, false)
-		}
-		if par == l {
+		if par == top {
 			return pl
+		}
+		if pl == noPromo {
+			pl = ts.latch(par)
 		}
 		if pl == noPromo {
 			pl = ts.runLoop(par)

@@ -54,38 +54,13 @@ func (p *Program) leftoverFor(li, lj *cloop) *leftoverTask {
 // their in-flight iterations with their remaining ranges intact, and lj and
 // everything above it shows no remaining iterations.
 //
-// This is Algorithm 2, with one generalization: any step may itself be
+// This is Algorithm 2 — the walk the driver also finishes a stopped
+// iteration with — from li up to lj's tail work. Any step may itself be
 // promoted by a later heartbeat (the leftover's own latent parallelism —
 // the intermediate ancestors' remaining iterations — is visible to the
-// outer-loop-first scan). A nested promotion at level q hands everything at
-// levels ≥ q to new tasks, so the walk resumes at q's parent.
+// outer-loop-first scan), but never at or above lj, which is frozen.
 func (lt *leftoverTask) run(ts *taskRun) {
-	li, lj := lt.li, lt.lj
-	// Line 5: finish li's current invocation from its next iteration on.
-	cur := li
-	pl := ts.runLoop(li)
-	if pl != noPromo {
-		cur = ancestorAt(li, pl)
-	}
-	// Lines 6–16: walk ancestors up to and including lj's tail work.
-	for cur != lj {
-		par := cur.parent
-		// Tail work of par's in-flight iteration: remaining sibling child
-		// invocations after the one we returned from, then par's Post.
-		pl = ts.tailOf(par)
-		if pl == noPromo && par != lj {
-			// Lines 11–12: advance par past its in-flight iteration and run
-			// its remaining iterations via its loop-slice code.
-			ts.chain[par.id.Level].iv++
-			pl = ts.runLoop(par)
-		}
-		if pl != noPromo {
-			if pl <= lj.id.Level {
-				panic("core: leftover promoted at or above the split loop")
-			}
-			cur = ancestorAt(li, pl)
-		} else {
-			cur = par
-		}
+	if ts.walk(lt.li, lt.lj, noPromo) != noPromo {
+		panic("core: leftover promoted at or above the split loop")
 	}
 }

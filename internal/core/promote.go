@@ -191,12 +191,6 @@ func (x *Exec) forkSlice(ts *taskRun, l *cloop, lo, hi int64, latch *sched.Latch
 	if s := l.scope; s != nil {
 		acc = s.spec.Reduce.Fresh()
 		snap.chain[s.id.Level].acc = acc
-		if s != l {
-			e.acc = nil
-		}
-		if s == l {
-			e.acc = acc
-		}
 	}
 	// The slice shares no partially-filled iteration state below l.
 	for i := lvl; i < len(snap.childAccs); i++ {
@@ -204,7 +198,7 @@ func (x *Exec) forkSlice(ts *taskRun, l *cloop, lo, hi int64, latch *sched.Latch
 	}
 	// Chunk budgets start fresh in the new task.
 	for i := range snap.budget {
-		snap.budget[i] = 0
+		snap.budget[i] = -1
 	}
 	ctl := ts.ctl
 	x.spawn(ts.w, latch, func(w *sched.Worker) {

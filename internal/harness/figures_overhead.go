@@ -17,7 +17,7 @@ func init() {
 // is pure heartbeat overhead. The paper's stacked components are isolated
 // incrementally (each column adds one mechanism to the previous):
 //
-//   - "machinery": the generic drivers with an effectively infinite chunk
+//   - "machinery": the slice drivers with an effectively infinite chunk
 //     and free polls — loop outlining, closure generation, promotion-point
 //     insertion;
 //   - "+chunking": a static 32-iteration chunk with free polls — adds chunk

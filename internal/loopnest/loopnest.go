@@ -41,20 +41,27 @@ type Hook func(env any, idx []int64, acc any)
 // without a Reduce). acc is as in Body.
 type PostHook func(env any, idx []int64, acc any, children []any)
 
-// SliceRT is the runtime interface handed to a monomorphic Slice task entry
-// (see Slice). It exposes exactly the per-task state the chunking
+// SliceRT is the runtime interface handed to a Slice (see Slice). It serves
+// one loop and exposes exactly the per-task state the chunking
 // transformation needs — the private iteration budget R (which transfers
 // across invocations within a task and across the levels of a chain), the
 // chunk size, the heartbeat/cancellation polls, and, for interior slices,
-// the child accumulators and the stop record — without the generic driver's
-// closure frames. The runtime passes a pooled implementation; the slice
-// must not retain it beyond the call.
+// the runtimes of the children, their accumulators and the stop record.
+// The runtime passes a pooled implementation; the slice must not retain it
+// beyond the call.
+//
+// Acc and Stop name a loop by its level on the runtime's spend path: the
+// loop the runtime serves, its last child, that child's last child, and so
+// on down to the leaf whose budget R is. Below a loop with one child that
+// is simply the chain; child k of a loop with several is reached through
+// Child(k).
 type SliceRT interface {
 	// Budget returns the private budget counter R the slice spends from.
 	// The pointer is stable for the call; the slice reads the residue on
 	// entry and keeps the remainder in it, so a partially finished chunk
 	// carries into the task's next invocation (chunk-size transferring,
-	// paper §3.2).
+	// paper §3.2). R <= 0 means a chunk must be drawn before spending; R
+	// is zero only when a chunk ran out whose poll is still to be taken.
 	Budget() *int64
 	// Chunk returns the next chunk size for R, given the iterations left
 	// in the slice's invocation after the current one (hi - iv).
@@ -67,51 +74,61 @@ type SliceRT interface {
 	// starts and at the top of every interior iteration; a chunk carried
 	// into a leaf from the enclosing iteration was checked there.
 	Aborted() bool
+	// Child returns the runtime serving child k of the interior loop this
+	// runtime serves. An interior slice hands it to child k's slice. The
+	// last child spends the same R, so a slice may pass its own runtime to
+	// it instead.
+	Child(k int) SliceRT
 	// Acc returns the runtime's accumulator for invocations of the loop at
-	// the given level below an interior slice (nil when that loop has no
-	// Reduce). The slice fetches it once per entry, resets it before each
-	// child invocation, and accumulates into it directly: a promotion may
-	// hand it to a leftover task, and the next entry gets a fresh one.
+	// level below an interior slice (nil when that loop has no Reduce).
+	// The slice fetches it once per entry, resets it before each child
+	// invocation, and accumulates into it directly: a promotion may hand
+	// it to a leftover task, and the next entry gets a fresh one.
 	Acc(level int) any
 	// Stop records, on the cold path, that the invocation of the loop at
 	// level — below an interior slice — returned early at iv within its
-	// [lo, hi). Each interior slice on the way up records its child,
-	// innermost first, then returns its own in-flight iteration.
+	// [lo, hi). Each interior slice on the way up records the child it
+	// stopped in, innermost first, then returns its own in-flight
+	// iteration; the stopped child's position is how the runtime knows
+	// which siblings of the iteration are still to run.
 	Stop(level int, lo, iv, hi int64)
 }
 
-// Slice is the monomorphic task entry of a loop: a specialized (typically
-// generated) function that executes whole iterations of [iv, hi) and
-// returns the next unstarted one. Unlike Body and the hooks, a Slice owns
-// the loop's chunking and latch logic, so the runtime's generic per-chunk
-// and per-iteration drivers — and their per-call closure frames — stay off
-// the hot path.
+// Slice is the task entry of a loop: a function that executes whole
+// iterations of [iv, hi) and returns the next unstarted one. It owns the
+// loop's chunking and latch logic. The heartbeat executor drives every
+// loop through one: a loop without a Slice gets one at Compile, built from
+// its Body or children, hooks and Reduce; a generated kernel supplies
+// monomorphic ones.
 //
 // A leaf Slice runs [iv, hi) in chunks of the budget R, polling rt at
 // every chunk boundary before hi. A chunk that ends exactly at hi does not
-// poll: the slice leaves R at zero and returns hi, and the runtime places
-// that poll (normally at the enclosing loop's latch).
+// poll: the slice leaves R at zero and returns hi, and the caller places
+// that poll.
 //
-// An interior Slice (a loop with exactly one child, which has a Slice
-// itself) runs each iteration inline: Pre; the child's bounds; the child
-// accumulator reset (rt.Acc); a direct call of the child's slice; Post.
-// Its latch spends R like the generic driver's: an iteration whose child
-// ran nothing debits one unit; a child that ended its chunk at its own hi
-// leaves R at zero, which the latch owes a poll. When R is zero with
-// iterations left, the latch refills R through rt.Chunk and polls; when R
-// is zero at hi, the slice returns hi and leaves that poll to the runtime.
-// If the child's slice returns before its hi (a beat or cancellation
-// deeper down), the slice calls rt.Stop for the child and returns its own
-// in-flight iteration; the runtime finishes that iteration.
+// An interior Slice (every child of its loop has a Slice) runs each
+// iteration inline: Pre; then for each child in order its bounds, its
+// accumulator reset, a direct call of its slice with rt.Child(k), and —
+// for a child other than the last that left its R at zero at its hi — the
+// poll that child owes, refilling its R through its runtime first; then
+// Post. Its latch spends R like the children do: an iteration whose
+// children all ran nothing debits one unit; a last child that ended its
+// chunk at its own hi leaves R at zero, which the latch owes a poll. When
+// R is zero with iterations left, the latch refills R through rt.Chunk
+// and polls; when R is zero at hi, the slice returns hi and leaves that
+// poll to its caller. If a child's slice returns before its hi (a beat or
+// cancellation deeper down), or a child's owed poll detects a beat, the
+// slice calls rt.Stop for that child and returns its own in-flight
+// iteration; the runtime finishes that iteration.
 //
 // So a return below hi with no Stop recorded means the slice stopped at a
 // promotion-ready point of its own (rt.Poll returned true) or observed
 // rt.Aborted; with a Stop recorded, it stopped inside an iteration.
 //
-// env, idx, and acc follow the Body and Hook contracts. A Slice is an
-// optional fast path: leaves still define Body and interior loops their
-// children, which the serial elision (RunSeq/RunStatic) and every resume
-// path keep using.
+// env, idx, and acc follow the Body and Hook contracts. Leaves still
+// define Body and interior loops their children and hooks: the serial
+// elision (RunSeq/RunStatic) and the runtime's finishing of a stopped
+// iteration use them.
 type Slice func(env any, idx []int64, iv, hi int64, acc any, rt SliceRT) int64
 
 // Reduction declares that a loop combines values across its iterations.
@@ -139,11 +156,10 @@ type Loop struct {
 	Bounds Bounds
 	// Body is the leaf computation. Set only on leaves.
 	Body Body
-	// Slice, if non-nil, is the loop's monomorphic task entry: a
-	// specialized loop the heartbeat executor calls instead of its generic
-	// drivers. On a leaf, Body is still required (the serial drivers use
-	// it); on an interior loop, the loop must have exactly one child, and
-	// that child must have a Slice.
+	// Slice, if non-nil, is the loop's task entry, typically a generated
+	// monomorphic one; Compile builds one for a loop without it. On a
+	// leaf, Body is still required (the serial drivers use it); on an
+	// interior loop, every child must have a Slice too.
 	Slice Slice
 	// Children are the directly nested DOALL loops, executed sequentially
 	// within each iteration. Set only on interior loops.
@@ -179,7 +195,7 @@ var (
 	ErrSharedLoop = errors.New("loopnest: loop appears more than once in the nest")
 	ErrTooDeep    = errors.New("loopnest: nest exceeds maximum depth")
 	ErrNilChild   = errors.New("loopnest: nil child loop")
-	ErrSliceShape = errors.New("loopnest: Slice requires a leaf with a Body or one child with a Slice")
+	ErrSliceShape = errors.New("loopnest: an interior Slice needs a Slice on every child")
 )
 
 // MaxDepth bounds the nesting depth the runtime supports. The paper's
@@ -212,7 +228,7 @@ func (n *Nest) Validate() error {
 			err = ErrLeafShape
 		case hasBody && (l.Pre != nil || l.Post != nil):
 			err = ErrLeafHooks
-		case l.Slice != nil && hasKids && (len(l.Children) != 1 || l.Children[0] == nil || l.Children[0].Slice == nil):
+		case l.Slice != nil && !childrenSliced(l):
 			err = ErrSliceShape
 		case l.Reduce != nil && (l.Reduce.Fresh == nil || l.Reduce.Merge == nil):
 			err = ErrBadReduce
@@ -229,6 +245,16 @@ func (n *Nest) Validate() error {
 		return nil
 	}
 	return walk(n.Root, 0)
+}
+
+// childrenSliced reports whether every child of l has a Slice.
+func childrenSliced(l *Loop) bool {
+	for _, c := range l.Children {
+		if c == nil || c.Slice == nil {
+			return false
+		}
+	}
+	return true
 }
 
 // Depth returns the number of levels in the nest (1 for a single loop).

@@ -19,12 +19,16 @@ func interior(name string, kids ...*Loop) *Loop {
 
 func TestValidateAcceptsWellFormed(t *testing.T) {
 	slice := func(any, []int64, int64, int64, any, SliceRT) int64 { return 0 }
-	slicedChain := interior("o", interior("m", leaf("i")))
-	slicedChain.Slice = slice
-	slicedChain.Children[0].Slice = slice
-	slicedChain.Children[0].Children[0].Slice = slice
+	sliced := func(l *Loop) *Loop { l.Slice = slice; return l }
+	slicedChain := sliced(interior("o", sliced(interior("m", sliced(leaf("i"))))))
 	cases := []*Nest{
 		{Name: "sliced chain3", Root: slicedChain},
+		{Name: "sliced siblings", Root: sliced(interior("o", sliced(leaf("a")), sliced(leaf("b"))))},
+		{Name: "sliced bushy", Root: sliced(interior("r",
+			sliced(interior("ma", sliced(leaf("la")), sliced(leaf("lb")))),
+			sliced(interior("mb", sliced(leaf("lc"))))))},
+		{Name: "sliced leaves under plain siblings", Root: interior("o", sliced(leaf("a")), interior("m", sliced(leaf("b"))))},
+		{Name: "sliced subtree beside a plain one", Root: interior("o", sliced(interior("m", sliced(leaf("a")))), leaf("b"))},
 		{Name: "single", Root: leaf("a")},
 		{Name: "chain2", Root: interior("o", leaf("i"))},
 		{Name: "chain3", Root: interior("o", interior("m", leaf("i")))},
@@ -51,8 +55,10 @@ func TestValidateRejections(t *testing.T) {
 	shared := leaf("s")
 	slice := func(any, []int64, int64, int64, any, SliceRT) int64 { return 0 }
 	sliced := func(l *Loop) *Loop { l.Slice = slice; return l }
-	twoChildren := sliced(interior("tc", sliced(leaf("a")), sliced(leaf("b"))))
 	plainChild := sliced(interior("pc", leaf("k")))
+	plainFirst := sliced(interior("pf", leaf("a"), sliced(leaf("b"))))
+	plainLast := sliced(interior("pl", sliced(leaf("a")), leaf("b")))
+	plainCousin := sliced(interior("r", sliced(interior("ma", sliced(leaf("la")))), sliced(interior("mb", leaf("lc")))))
 
 	cases := []struct {
 		name string
@@ -67,8 +73,11 @@ func TestValidateRejections(t *testing.T) {
 		{"bad reduce", &Nest{Root: badReduce}, ErrBadReduce},
 		{"shared loop", &Nest{Root: interior("o", shared, shared)}, ErrSharedLoop},
 		{"nil child", &Nest{Root: interior("o", nil)}, ErrNilChild},
-		{"interior slice over two children", &Nest{Root: twoChildren}, ErrSliceShape},
 		{"interior slice over a child without one", &Nest{Root: plainChild}, ErrSliceShape},
+		{"interior slice over a plain first sibling", &Nest{Root: plainFirst}, ErrSliceShape},
+		{"interior slice over a plain last sibling", &Nest{Root: plainLast}, ErrSliceShape},
+		{"sliced sibling over a plain leaf", &Nest{Root: plainCousin}, ErrSliceShape},
+		{"interior slice over a nil sibling", &Nest{Root: sliced(interior("ns", sliced(leaf("a")), nil))}, ErrSliceShape},
 	}
 	for _, c := range cases {
 		err := c.nest.Validate()
