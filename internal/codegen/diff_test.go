@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"os"
@@ -13,6 +14,7 @@ import (
 	"hbc/internal/analysis"
 	"hbc/internal/core"
 	"hbc/internal/frontend"
+	"hbc/internal/loopnest"
 	"hbc/internal/pulse"
 	"hbc/internal/sched"
 )
@@ -286,6 +288,97 @@ func TestDifferentialParallel(t *testing.T) {
 				}
 			}
 			compareEnvs(t, k, c.Env, envG, 1e-9, "parallel")
+		})
+	}
+}
+
+// TestDifferentialPromoteAlways runs both backends at 2 workers under a
+// source where every poll promotes, so hook calls of one interpreted nest
+// run concurrently on both workers as often as the runtime allows: any
+// state two calls share shows as a contained panic or a wrong value. Every
+// run must succeed, with int arrays exact and float arrays within 1e-9 of
+// the generated RunSerial.
+func TestDifferentialPromoteAlways(t *testing.T) {
+	const runs = 20
+	for _, name := range goodKernels {
+		t.Run(name, func(t *testing.T) {
+			k, c := loadKernel(t, name)
+			gk, ok := gen.Lookup(name)
+			if !ok {
+				t.Fatalf("kernel %q not registered", name)
+			}
+			envRef, envG := gk.NewEnv(), gk.NewEnv()
+			seedFloats(t, k, 59, envRef, c.Env, envG)
+			envRef.Reset()
+			want := gk.RunSerial(envRef)
+
+			backends := []struct {
+				label string
+				env   envLike
+				nest  *loopnest.Nest
+			}{
+				{"interpreted", c.Env, c.Nest},
+				{"generated", envG, gk.Nest(envG)},
+			}
+			for _, b := range backends {
+				prog, err := core.Compile(b.nest, core.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				team := sched.NewTeam(2)
+				x := core.NewExec(prog, team, pulse.NewAlways(), time.Millisecond, b.env)
+				x.Start()
+				for r := 0; r < runs; r++ {
+					b.env.Reset()
+					got, err := x.RunCtx(context.Background())
+					if err != nil {
+						t.Fatalf("%s run %d: %v", b.label, r, err)
+					}
+					if v, ok := rootValue(got); ok && !floatsClose(v, want, 1e-9) {
+						t.Fatalf("%s run %d: root reduction %v, serial %v", b.label, r, v, want)
+					}
+					compareEnvs(t, k, b.env, envRef, 1e-9, b.label)
+				}
+				x.Stop()
+				team.Close()
+			}
+		})
+	}
+}
+
+// TestInterpreterAllocsMatchGenerated gates the interpreter's hot path: a
+// run through core at 1 worker under a never-firing source may allocate
+// at most a fixed slack more than the generated kernel's run on the same
+// setup — the runtime's own per-run cost. A heap frame or a boxed value per
+// hook call costs thousands of allocations per run here.
+func TestInterpreterAllocsMatchGenerated(t *testing.T) {
+	const slack = 8
+	for _, name := range goodKernels {
+		t.Run(name, func(t *testing.T) {
+			_, c := loadKernel(t, name)
+			gk, ok := gen.Lookup(name)
+			if !ok {
+				t.Fatalf("kernel %q not registered", name)
+			}
+			envG := gk.NewEnv()
+			allocs := func(nest *loopnest.Nest, env any) float64 {
+				prog, err := core.Compile(nest, core.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				team := sched.NewTeam(1)
+				defer team.Close()
+				x := core.NewExec(prog, team, pulse.NewNever(), time.Millisecond, env)
+				x.Start()
+				defer x.Stop()
+				return testing.AllocsPerRun(5, func() { x.Run() })
+			}
+			interp, generated := allocs(c.Nest, c.Env), allocs(gk.Nest(envG), envG)
+			t.Logf("%s: %v allocs/run interpreted, %v generated", name, interp, generated)
+			if interp > generated+slack {
+				t.Errorf("%s: interpreted run allocates %v objects, generated %v: more than %d over",
+					name, interp, generated, slack)
+			}
 		})
 	}
 }

@@ -43,6 +43,8 @@ type PanicError struct {
 	// Indices is a snapshot of the induction variables from the LST context
 	// chain, outermost first, up to and including the faulting loop's. For a
 	// leaf the last entry is the first iteration of the chunk being executed.
+	// A panic in the loop's Bounds stops at the enclosing loop's index: the
+	// invocation being set up has none yet.
 	Indices []int64
 	// Worker is the ID of the worker the panic occurred on, or -1 when the
 	// panic did not occur on a task (e.g. a bounds call on the submitting
@@ -125,7 +127,11 @@ func (ts *taskRun) containPanic(v any) *PanicError {
 	if l := ts.cur; l != nil {
 		pe.Loop = l.id
 		pe.LoopName = l.spec.Name
-		pe.Indices = append([]int64(nil), ts.idx[:l.id.Level+1]...)
+		n := l.id.Level + 1
+		if ts.inBounds {
+			n--
+		}
+		pe.Indices = append([]int64(nil), ts.idx[:n]...)
 	}
 	return pe
 }

@@ -298,6 +298,9 @@ type taskRun struct {
 	// cur is the loop whose user code (body, hook, or bounds) is currently
 	// executing, maintained for panic attribution.
 	cur *cloop
+	// inBounds is set while cur's Bounds runs: the invocation being set up
+	// has no index of its own yet.
+	inBounds bool
 
 	chain []lst
 	idx   []int64
@@ -537,13 +540,21 @@ func (ts *taskRun) aborted() bool { return ts.ctl != nil && ts.ctl.canceled() }
 // setupInvocation initializes the chain entry for a new invocation of loop
 // l, computing its bounds from the enclosing indices.
 func (ts *taskRun) setupInvocation(l *cloop) {
-	ts.cur = l
-	lo, hi := l.spec.Bounds(ts.x.env, ts.idx[:l.id.Level])
+	lo, hi := ts.bounds(l, ts.idx[:l.id.Level])
 	e := &ts.chain[l.id.Level]
 	e.loop = l
 	e.lo, e.iv, e.hi = lo, lo, hi
 	e.childPos = 0
 	e.acc = ts.accForLoop(l)
+}
+
+// bounds calls l's Bounds over the enclosing indices idx, marking the call
+// for panic attribution.
+func (ts *taskRun) bounds(l *cloop, idx []int64) (int64, int64) {
+	ts.cur, ts.inBounds = l, true
+	lo, hi := l.spec.Bounds(ts.x.env, idx)
+	ts.inBounds = false
+	return lo, hi
 }
 
 // childAccsFor returns the per-iteration child accumulator slice for
@@ -679,8 +690,7 @@ func (c *cloop) interiorSlice(env any, idx []int64, iv, hi int64, acc any, srt l
 		}
 		ran := false
 		for k, ch := range c.children {
-			ts.cur = ch
-			lo, chi := ch.spec.Bounds(env, cidx)
+			lo, chi := ts.bounds(ch, cidx)
 			a := ts.accForLoop(ch)
 			ca[k] = a
 			if lo >= chi {

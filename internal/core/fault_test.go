@@ -118,6 +118,49 @@ func TestPanicInForkedSliceThroughJoin(t *testing.T) {
 	}
 }
 
+// TestPanicInBoundsStopsAtEnclosingLevel makes the inner loop's Bounds
+// panic when outer index 2 sets it up. The invocation has no index of its
+// own yet, so the snapshot ends at the outer loop's: Indices is [2], not
+// [2] plus whatever the previous inner invocation left behind.
+func TestPanicInBoundsStopsAtEnclosingLevel(t *testing.T) {
+	inner := &loopnest.Loop{
+		Name: "inner",
+		Bounds: func(_ any, idx []int64) (int64, int64) {
+			if idx[0] == 2 {
+				panic("bad bounds")
+			}
+			return 0, 8
+		},
+		Body: func(any, []int64, int64, int64, any) {},
+	}
+	nest := &loopnest.Nest{Name: "bounds", Root: &loopnest.Loop{
+		Name:     "outer",
+		Bounds:   func(any, []int64) (int64, int64) { return 0, 4 },
+		Children: []*loopnest.Loop{inner},
+	}}
+	p, err := Compile(nest, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	team := sched.NewTeam(1)
+	defer team.Close()
+	x := NewExec(p, team, pulse.NewNever(), time.Millisecond, nil)
+	x.Start()
+	defer x.Stop()
+
+	_, err = x.RunCtx(context.Background())
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("RunCtx error = %v (%T), want *PanicError", err, err)
+	}
+	if pe.Loop != (LoopID{Level: 1, Index: 0}) || pe.LoopName != "inner" {
+		t.Fatalf("fault attributed to loop %v %q, want (1,0) \"inner\"", pe.Loop, pe.LoopName)
+	}
+	if len(pe.Indices) != 1 || pe.Indices[0] != 2 {
+		t.Fatalf("Indices = %v, want [2]", pe.Indices)
+	}
+}
+
 // TestExecReusableAfterPanic re-runs the same Exec after a contained panic;
 // the abort must not poison the executor, its team, or its source.
 func TestExecReusableAfterPanic(t *testing.T) {

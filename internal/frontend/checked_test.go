@@ -134,3 +134,52 @@ parallel for i = 0 .. 8 {
 		t.Fatalf("guard diagnostic = %q, want array/index/extent and source position", msg)
 	}
 }
+
+// TestCheckedBoundsInnerBoundOverrun overruns a subscript in an inner
+// loop's bound, so the guard panics inside that loop's Bounds: the error
+// names the inner loop and stops its Indices at the outer index, since the
+// inner invocation being set up has no index yet.
+func TestCheckedBoundsInnerBoundOverrun(t *testing.T) {
+	src := `kernel innerbound
+let n = 4
+array lim int[n] = 3
+array out float[18] = 0.0
+
+parallel for i = 0 .. 6 {
+  parallel for j = 0 .. lim[i] {
+    out[i * 3 + j] = 1.0
+  }
+}
+`
+	k, err := ParseFile("innerbound.hbk", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := CompileWith(k, Options{CheckBounds: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := core.Compile(c.Nest, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	team := sched.NewTeam(1)
+	defer team.Close()
+	x := core.NewExec(p, team, pulse.NewNever(), core.DefaultHeartbeat, c.Env)
+	x.Start()
+	defer x.Stop()
+	_, err = x.RunCtx(context.Background())
+	var pe *core.PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("overrun run: err = %v, want *core.PanicError", err)
+	}
+	if msg := pe.Error(); !strings.Contains(msg, "lim[4] out of range [0, 4)") || !strings.Contains(msg, "innerbound.hbk:7") {
+		t.Fatalf("guard diagnostic = %q, want array/index/extent and source position", msg)
+	}
+	if pe.Loop != (core.LoopID{Level: 1, Index: 0}) || pe.LoopName != "j" {
+		t.Fatalf("fault attributed to loop %v %q, want (1,0) \"j\"", pe.Loop, pe.LoopName)
+	}
+	if len(pe.Indices) != 1 || pe.Indices[0] != 4 {
+		t.Fatalf("Indices = %v, want [4]", pe.Indices)
+	}
+}

@@ -2,6 +2,7 @@ package frontend
 
 import (
 	"fmt"
+	"sync"
 
 	"hbc/internal/loopnest"
 	"hbc/internal/matrix"
@@ -9,6 +10,12 @@ import (
 
 // Compiled is a kernel lowered to the loopnest IR plus its bound data
 // environment — the front-end's output, ready for the heartbeat middle-end.
+//
+// Nest is bound to Env, as a generated kernel's Nest(env) is: its closures
+// captured Env's arrays at Compile and ignore the env argument the runtime
+// passes them, so run Nest over Env only. Its closures may run concurrently
+// on any number of workers; each call takes a frame of its own from a pool
+// shared by the Compiled's closures.
 type Compiled struct {
 	Kernel *Kernel
 	Nest   *loopnest.Nest
@@ -43,7 +50,9 @@ type Options struct {
 }
 
 // Env holds the kernel's data: scalars, arrays, and which arrays are
-// outputs (declared by the kernel rather than bound from a dataset).
+// outputs (declared by the kernel rather than bound from a dataset). Arrays
+// are created at Compile and never rebound — Reset refills them in place —
+// which is what lets the compiled closures capture them.
 type Env struct {
 	scalars map[string]int64
 	intArr  map[string][]int64
@@ -96,13 +105,44 @@ func (e *Env) Reset() {
 }
 
 // frame is the runtime evaluation context of compiled statements: loop
-// variable slots (parallel and serial), the innermost visible accumulator,
-// and the data environment.
+// variable slots (parallel and serial) and the innermost visible
+// accumulator.
 type frame struct {
-	env   *Env
 	vars  []int64
 	fvars []float64
 	acc   *float64
+}
+
+// framePool hands every hook call (Bounds, Body, Pre, Post) a frame that
+// call owns alone, so concurrent calls on different workers never share
+// one. Its slot counts are set once Compile has seen every local.
+type framePool struct {
+	nVars, nFVars int
+	pool          sync.Pool
+}
+
+// get returns a frame for one call, with the loop variables idx in their
+// slots and acc, when it is one, as the visible accumulator.
+func (p *framePool) get(slots []int, idx []int64, acc any) *frame {
+	fr, ok := p.pool.Get().(*frame)
+	if !ok {
+		fr = &frame{vars: make([]int64, p.nVars), fvars: make([]float64, p.nFVars)}
+	}
+	for lv := 0; lv < len(slots) && lv < len(idx); lv++ {
+		fr.vars[slots[lv]] = idx[lv]
+	}
+	fr.acc, _ = acc.(*float64)
+	return fr
+}
+
+// put clears fr, so the next call starts from a zeroed frame as a fresh one
+// would, and returns it to the pool. A call that panics never gets here; its
+// frame is dropped.
+func (p *framePool) put(fr *frame) {
+	clear(fr.vars)
+	clear(fr.fvars)
+	fr.acc = nil
+	p.pool.Put(fr)
 }
 
 // compile-time symbol information.
@@ -134,6 +174,7 @@ type compiler struct {
 	// levelSlots[k] is the frame slot holding the level-k parallel loop
 	// variable (serial vars and locals interleave, so slot != level).
 	levelSlots []int
+	frames     *framePool
 	opts       Options
 	// nChecked / nProven count guarded and guard-exempt subscripts.
 	nChecked, nProven int
@@ -151,10 +192,11 @@ func Compile(k *Kernel) (*Compiled, error) { return CompileWith(k, Options{}) }
 // CompileWith is Compile with explicit Options.
 func CompileWith(k *Kernel, opts Options) (*Compiled, error) {
 	c := &compiler{
-		file: k.File,
-		env:  &Env{scalars: map[string]int64{}, intArr: map[string][]int64{}, fltArr: map[string][]float64{}},
-		syms: map[string]sym{},
-		opts: opts,
+		file:   k.File,
+		env:    &Env{scalars: map[string]int64{}, intArr: map[string][]int64{}, fltArr: map[string][]float64{}},
+		syms:   map[string]sym{},
+		frames: &framePool{},
+		opts:   opts,
 	}
 	for _, d := range k.Decls {
 		if err := c.declare(d); err != nil {
@@ -180,6 +222,7 @@ func CompileWith(k *Kernel, opts Options) (*Compiled, error) {
 	if err := nest.Validate(); err != nil {
 		return nil, err
 	}
+	c.frames.nVars, c.frames.nFVars = c.nVars, c.nFVars
 	return &Compiled{
 		Kernel: k, Nest: nest, Env: c.env,
 		CheckedAccesses: c.nChecked, ProvenAccesses: c.nProven,
@@ -427,6 +470,7 @@ func (c *compiler) loop(l *LoopStmt) (*loopnest.Loop, error) {
 
 	out := &loopnest.Loop{Name: l.Var}
 	out.Bounds = c.boundsClosure(outerSlots, lo, hi)
+	frames := c.frames
 
 	if child == nil {
 		// Leaf loop: the whole body is the per-iteration program.
@@ -444,23 +488,13 @@ func (c *compiler) loop(l *LoopStmt) (*loopnest.Loop, error) {
 		if err != nil {
 			return nil, err
 		}
-		slotCount, fSlotCount := c.nVars, c.nFVars
-		out.Body = func(envAny any, idx []int64, blo, bhi int64, acc any) {
-			fr := &frame{
-				env:   envAny.(*Env),
-				vars:  make([]int64, slotCount),
-				fvars: make([]float64, fSlotCount),
-			}
-			for lv := 0; lv < level; lv++ {
-				fr.vars[ownSlots[lv]] = idx[lv]
-			}
-			if acc != nil {
-				fr.acc = acc.(*float64)
-			}
+		out.Body = func(_ any, idx []int64, blo, bhi int64, acc any) {
+			fr := frames.get(outerSlots, idx, acc)
 			for v := blo; v < bhi; v++ {
 				fr.vars[slot] = v
 				runStmts(body, fr)
 			}
+			frames.put(fr)
 		}
 		if l.Reduce != "" {
 			out.Reduce = loopnest.SumFloat64()
@@ -503,33 +537,19 @@ func (c *compiler) loop(l *LoopStmt) (*loopnest.Loop, error) {
 		return nil, err
 	}
 
-	slotCount, fSlotCount := c.nVars, c.nFVars
-	mkFrame := func(envAny any, idx []int64, acc any) *frame {
-		fr := &frame{
-			env:   envAny.(*Env),
-			vars:  make([]int64, slotCount),
-			fvars: make([]float64, fSlotCount),
-		}
-		for lv := 0; lv <= level && lv < len(idx); lv++ {
-			fr.vars[ownSlots[lv]] = idx[lv]
-		}
-		if acc != nil {
-			if p, ok := acc.(*float64); ok {
-				fr.acc = p
-			}
-		}
-		return fr
-	}
 	if len(preProg) > 0 {
-		out.Pre = func(envAny any, idx []int64, acc any) {
-			runStmts(preProg, mkFrame(envAny, idx, acc))
+		out.Pre = func(_ any, idx []int64, acc any) {
+			fr := frames.get(ownSlots, idx, acc)
+			runStmts(preProg, fr)
+			frames.put(fr)
 		}
 	}
 	out.Children = []*loopnest.Loop{childLoop}
 	if len(postProg) > 0 {
-		out.Post = func(envAny any, idx []int64, _ any, children []any) {
-			fr := mkFrame(envAny, idx, children[0])
+		out.Post = func(_ any, idx []int64, _ any, children []any) {
+			fr := frames.get(ownSlots, idx, children[0])
 			runStmts(postProg, fr)
+			frames.put(fr)
 		}
 	}
 	return out, nil
@@ -548,18 +568,11 @@ func (c *compiler) newVar(name string, line int) int {
 }
 
 func (c *compiler) boundsClosure(outerSlots []int, lo, hi intFn) loopnest.Bounds {
-	// Slot counts are read lazily through the compiler, which stays alive in
-	// the closure: bounds run only after compilation completes.
-	nv, nf := &c.nVars, &c.nFVars
-	return func(envAny any, idx []int64) (int64, int64) {
-		fr := &frame{
-			env:   envAny.(*Env),
-			vars:  make([]int64, *nv),
-			fvars: make([]float64, *nf),
-		}
-		for lv := 0; lv < len(outerSlots) && lv < len(idx); lv++ {
-			fr.vars[outerSlots[lv]] = idx[lv]
-		}
-		return lo(fr), hi(fr)
+	frames := c.frames
+	return func(_ any, idx []int64) (int64, int64) {
+		fr := frames.get(outerSlots, idx, nil)
+		l, h := lo(fr), hi(fr)
+		frames.put(fr)
+		return l, h
 	}
 }

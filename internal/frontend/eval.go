@@ -2,10 +2,13 @@ package frontend
 
 import "fmt"
 
-// Compiled expressions and statements are closure trees over a frame —
-// interpretation is per-iteration, which is ample for demonstrating the
-// compilation pipeline (the middle-end and runtime are the reproduction's
-// performance-bearing parts).
+// Compiled expressions and statements are closure trees over a frame, so
+// interpretation costs one closure call per expression node. Everything
+// else is resolved at Compile: a subscript closure captures its array (and,
+// in checked mode, the array's length), scalars fold to constants, and
+// locals and loop variables are frame slots. A frame is the private scratch
+// of one hook call, taken from its Compiled's pool and returned when the
+// call ends (see framePool).
 
 type intFn func(*frame) int64
 type floatFn func(*frame) float64
@@ -72,14 +75,15 @@ func (c *compiler) expr(e Expr) (intFn, floatFn, bool, error) {
 		if err != nil {
 			return nil, nil, false, err
 		}
-		name := x.Array
 		switch s.kind {
 		case symIntArr:
-			idx = c.guardIdx(name, x.Line, false, idx)
-			return func(fr *frame) int64 { return fr.env.intArr[name][idx(fr)] }, nil, false, nil
+			a := c.env.intArr[x.Array]
+			idx = c.guardIdx(x.Array, x.Line, len(a), idx)
+			return func(fr *frame) int64 { return a[idx(fr)] }, nil, false, nil
 		case symFltArr:
-			idx = c.guardIdx(name, x.Line, true, idx)
-			return nil, func(fr *frame) float64 { return fr.env.fltArr[name][idx(fr)] }, true, nil
+			a := c.env.fltArr[x.Array]
+			idx = c.guardIdx(x.Array, x.Line, len(a), idx)
+			return nil, func(fr *frame) float64 { return a[idx(fr)] }, true, nil
 		default:
 			return nil, nil, false, c.errf(x.Line, "%q is not an array", x.Array)
 		}
@@ -220,10 +224,11 @@ func (c *compiler) binExpr(x *BinExpr) (intFn, floatFn, bool, error) {
 	return nil, nil, false, c.errf(x.Line, "unknown operator %q", x.Op)
 }
 
-// guardIdx wraps a subscript closure with a range guard in checked mode.
-// An access the oracle proves in bounds keeps the raw closure — the proofs'
-// whole point — and the default (unchecked) build is untouched.
-func (c *compiler) guardIdx(name string, line int, float bool, idx intFn) intFn {
+// guardIdx wraps a subscript closure of an array of length n with a range
+// guard in checked mode. An access the oracle proves in bounds keeps the raw
+// closure — the proofs' whole point — and the default (unchecked) build is
+// untouched.
+func (c *compiler) guardIdx(name string, line, n int, idx intFn) intFn {
 	if !c.opts.CheckBounds {
 		return idx
 	}
@@ -235,12 +240,6 @@ func (c *compiler) guardIdx(name string, line int, float bool, idx intFn) intFn 
 	file := c.file
 	return func(fr *frame) int64 {
 		i := idx(fr)
-		var n int
-		if float {
-			n = len(fr.env.fltArr[name])
-		} else {
-			n = len(fr.env.intArr[name])
-		}
 		if i < 0 || i >= int64(n) {
 			panic(fmt.Sprintf("%s: %s[%d] out of range [0, %d)", srcPos(file, line), name, i, n))
 		}
@@ -369,37 +368,39 @@ func (c *compiler) assign(x *AssignStmt) (stmtFn, error) {
 		if err != nil {
 			return nil, err
 		}
-		name := x.Target
-		idx = c.guardIdx(name, x.Line, s.kind == symFltArr, idx)
 		switch s.kind {
 		case symFltArr:
+			a := c.env.fltArr[x.Target]
+			idx = c.guardIdx(x.Target, x.Line, len(a), idx)
 			val, err := c.numExpr(x.Value)
 			if err != nil {
 				return nil, err
 			}
 			if x.Add {
 				return func(fr *frame) ctrl {
-					fr.env.fltArr[name][idx(fr)] += val(fr)
+					a[idx(fr)] += val(fr)
 					return ctrlNext
 				}, nil
 			}
 			return func(fr *frame) ctrl {
-				fr.env.fltArr[name][idx(fr)] = val(fr)
+				a[idx(fr)] = val(fr)
 				return ctrlNext
 			}, nil
 		case symIntArr:
+			a := c.env.intArr[x.Target]
+			idx = c.guardIdx(x.Target, x.Line, len(a), idx)
 			val, err := c.intExpr(x.Value)
 			if err != nil {
 				return nil, err
 			}
 			if x.Add {
 				return func(fr *frame) ctrl {
-					fr.env.intArr[name][idx(fr)] += val(fr)
+					a[idx(fr)] += val(fr)
 					return ctrlNext
 				}, nil
 			}
 			return func(fr *frame) ctrl {
-				fr.env.intArr[name][idx(fr)] = val(fr)
+				a[idx(fr)] = val(fr)
 				return ctrlNext
 			}, nil
 		default:

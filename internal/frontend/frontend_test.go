@@ -352,3 +352,57 @@ func TestFormatExprPrecedence(t *testing.T) {
 		t.Fatalf("FormatExpr = %s", got)
 	}
 }
+
+// hooksSrc gives the root loop every hook — Bounds, Pre and Post — and its
+// child Bounds and a reducing Body, each with array reads and writes.
+const hooksSrc = `kernel hooks
+let n = 8
+array a float[n] = 1.0
+array out float[n]
+
+parallel for i = 0 .. n {
+    out[i] = a[i] * 2.0
+    sum s = 0.0
+    parallel for j = 0 .. i + 1 reduce(s) {
+        let t = a[j]
+        s += t * t
+    }
+    out[i] = out[i] + s
+}
+`
+
+// TestHooksAllocFree calls every hook of a compiled nest directly, in the
+// default and the checked build, and requires that a call allocates
+// nothing: arrays are bound at Compile and frames come from the pool.
+func TestHooksAllocFree(t *testing.T) {
+	k, err := Parse(hooksSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []Options{{}, {CheckBounds: true}} {
+		c, err := CompileWith(k, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root := c.Nest.Root
+		child := root.Children[0]
+		if root.Pre == nil || root.Post == nil {
+			t.Fatal("root loop lost its Pre or Post hook")
+		}
+		idx := []int64{3}
+		s := new(float64)
+		children := []any{s}
+		hooks := map[string]func(){
+			"root.Bounds":  func() { root.Bounds(c.Env, nil) },
+			"root.Pre":     func() { root.Pre(c.Env, idx, nil) },
+			"root.Post":    func() { root.Post(c.Env, idx, nil, children) },
+			"child.Bounds": func() { child.Bounds(c.Env, idx) },
+			"child.Body":   func() { child.Body(c.Env, idx, 0, 4, s) },
+		}
+		for name, call := range hooks {
+			if n := testing.AllocsPerRun(100, call); n != 0 {
+				t.Errorf("checked=%v: %s allocates %v objects per call, want 0", opts.CheckBounds, name, n)
+			}
+		}
+	}
+}
