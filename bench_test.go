@@ -108,12 +108,13 @@ func BenchmarkFig05(b *testing.B) {
 }
 
 // BenchmarkFig06 compares HBC against the TPAL configuration (serial
-// leftover, static chunks, ping-thread interrupts) on the iterative set.
+// leftover, static chunks) on the iterative set. Both arms poll a
+// pulse.Timer: Go has no user-level interrupts for TPAL's ping thread.
 func BenchmarkFig06(b *testing.B) {
 	for _, name := range workloads.TPALSet() {
 		w := prepareBench(b, name)
 		b.Run(name+"/tpal", func(b *testing.B) {
-			benchHBC(b, w, pulse.NewPing(), core.Options{
+			benchHBC(b, w, pulse.NewTimer(), core.Options{
 				Mode:  core.ModeTPAL,
 				Chunk: core.ChunkPolicy{Kind: core.ChunkStatic, Size: 32},
 			})
@@ -142,9 +143,6 @@ func BenchmarkFig07(b *testing.B) {
 		b.Run(name+"/polled", func(b *testing.B) {
 			benchHBC(b, w, pulse.NewTimer(), core.Options{DisablePromotion: true})
 		})
-		b.Run(name+"/interrupt", func(b *testing.B) {
-			benchHBC(b, w, pulse.NewKernel(), core.Options{DisablePromotion: true})
-		})
 	}
 }
 
@@ -166,22 +164,6 @@ func BenchmarkFig08(b *testing.B) {
 		})
 		b.Run(name+"/adaptive-chunking", func(b *testing.B) {
 			benchHBC(b, w, pulse.NewTimer(), core.Options{DisablePromotion: true})
-		})
-	}
-}
-
-// BenchmarkFig09 compares the three heartbeat delivery mechanisms.
-func BenchmarkFig09(b *testing.B) {
-	for _, name := range workloads.TPALSet() {
-		w := prepareBench(b, name)
-		b.Run(name+"/ping-thread", func(b *testing.B) {
-			benchHBC(b, w, pulse.NewPing(), core.Options{})
-		})
-		b.Run(name+"/kernel-module", func(b *testing.B) {
-			benchHBC(b, w, pulse.NewKernel(), core.Options{})
-		})
-		b.Run(name+"/software-polling", func(b *testing.B) {
-			benchHBC(b, w, pulse.NewTimer(), core.Options{})
 		})
 	}
 }

@@ -5,7 +5,7 @@ package main
 // Usage:
 //
 //	hbcc fig -fig 4                 # one figure
-//	hbcc fig -all                   # Figs. 4–16 in order
+//	hbcc fig -all                   # every registered figure in order (see -list)
 //	hbcc fig -bench spmv-arrowhead  # one benchmark across the three engines
 //
 // Common flags: -runs N (median of N, default 3), -scale F (input scale,
@@ -37,7 +37,7 @@ import (
 
 func figCmd(fs *flag.FlagSet) func([]string) {
 	var (
-		fig       = fs.Int("fig", 0, "figure number to regenerate (4-16)")
+		fig       = fs.Int("fig", 0, "figure number to regenerate (see -list)")
 		all       = fs.Bool("all", false, "regenerate every figure")
 		bench     = fs.String("bench", "", "run one benchmark across serial/OMP/HBC")
 		list      = fs.Bool("list", false, "list figures and benchmarks")

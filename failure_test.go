@@ -3,7 +3,6 @@ package hbc
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -101,16 +100,49 @@ func TestRunOnClosedTeamReturnsErrTeamClosed(t *testing.T) {
 	}
 }
 
+// goroutineSource wraps a heartbeat source with a helper goroutine that
+// Attach starts and Detach stops — the shape of any source passed through
+// WithSourceWrapper that needs one. live counts helpers still running.
+type goroutineSource struct {
+	pulse.Source
+	live       *atomic.Int64
+	stop, done chan struct{}
+}
+
+func (s *goroutineSource) Attach(workers int, period time.Duration) {
+	s.Source.Attach(workers, period)
+	stop, done := make(chan struct{}), make(chan struct{})
+	s.stop, s.done = stop, done
+	s.live.Add(1)
+	go func() {
+		<-stop
+		s.live.Add(-1)
+		close(done)
+	}()
+}
+
+func (s *goroutineSource) Detach() {
+	close(s.stop)
+	<-s.done
+	s.Source.Detach()
+}
+
 // TestFailedRunReleasesSignalGoroutine is the leak regression test: a Run
 // that panics must detach its heartbeat source even though the caller never
-// reaches Close, releasing the ping goroutine the source started.
+// reaches Close, releasing the goroutine the source started.
 func TestFailedRunReleasesSignalGoroutine(t *testing.T) {
-	team := NewTeam(Workers(2), WithSignal(SignalPing), Heartbeat(100*time.Microsecond))
+	var live atomic.Int64
+	team := NewTeam(Workers(2), Heartbeat(100*time.Microsecond),
+		WithSourceWrapper(func(src pulse.Source) pulse.Source {
+			return &goroutineSource{Source: src, live: &live}
+		}))
 	defer team.Close()
-	baseline := runtime.NumGoroutine()
 
 	var covered atomic.Int64
 	r := team.Load(MustCompile(trapNest(&covered, 64), Config{}), nil)
+	if n := live.Load(); n != 1 {
+		t.Fatalf("Load started %d source goroutines, want 1", n)
+	}
 	func() {
 		defer func() {
 			if v := recover(); v == nil {
@@ -121,42 +153,9 @@ func TestFailedRunReleasesSignalGoroutine(t *testing.T) {
 		}()
 		r.Run() // no deferred Close: the leak guard must stand in
 	}()
-
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > baseline {
-		t.Fatalf("ping goroutine leaked after failed Run: %d > baseline %d", n, baseline)
+	if n := live.Load(); n != 0 {
+		t.Fatalf("source goroutine leaked after failed Run: %d still running", n)
 	}
 	r.Close()
 	r.Close() // idempotent, safe after the failure-path stop
-}
-
-func TestWithWatchdogPassesThroughHealthySource(t *testing.T) {
-	// A generous heartbeat keeps the silence window (DefaultGrace periods)
-	// far above scheduler jitter, which -race amplifies into the
-	// milliseconds: a starved-but-healthy ticker must not trip a failover.
-	team := NewTeam(Workers(2), WithSignal(SignalEpoch),
-		Heartbeat(2*time.Millisecond), WithWatchdog(0))
-	defer team.Close()
-	if team.watchdog != pulse.DefaultGrace {
-		t.Fatalf("WithWatchdog(0) set grace %d, want DefaultGrace", team.watchdog)
-	}
-
-	var covered atomic.Int64
-	r := team.Load(MustCompile(trapNest(&covered, 0), Config{}), nil)
-	defer r.Close()
-	for i := 0; i < 5; i++ {
-		covered.Store(0)
-		if v := r.Run(); v != nil {
-			t.Fatalf("unexpected accumulator %v", v)
-		}
-		if got := covered.Load(); got != 64*64 {
-			t.Fatalf("run %d covered %d of %d", i, got, 64*64)
-		}
-	}
-	if st := r.PulseStats(); st.Failovers != 0 {
-		t.Fatalf("healthy epoch source recorded %d failovers", st.Failovers)
-	}
 }

@@ -43,8 +43,8 @@
 // captured as a typed *PanicError naming the faulting loop and iteration,
 // cancels the rest of the run the same way, and is returned as an error once
 // all tasks have drained. The Team, Runner, and heartbeat source remain
-// usable afterwards. The WithWatchdog option additionally guards against a
-// silently stalled heartbeat source by failing over to plain timer polling.
+// usable afterwards. A heartbeat source that stalls for good only stops
+// promotions: the run finishes serially, with the serial elision's result.
 //
 // See examples/ for complete programs, and DESIGN.md for how this library
 // maps onto the paper's compiler and runtime.
@@ -98,49 +98,6 @@ type (
 	SliceRT = loopnest.SliceRT
 )
 
-// Signal selects the heartbeat delivery mechanism (paper §4–§5).
-type Signal int
-
-const (
-	// SignalPolling reads the monotonic clock at promotion-ready points —
-	// the paper's software-polling default, needing no OS support.
-	SignalPolling Signal = iota
-	// SignalEpoch polls an atomic counter bumped by a ticker goroutine:
-	// cheaper polls, one helper goroutine.
-	SignalEpoch
-	// SignalPing models TPAL's user-level interrupt ping thread.
-	SignalPing
-	// SignalKernel models the paper's Linux kernel module (hrtimer + IPI).
-	SignalKernel
-)
-
-func (s Signal) String() string {
-	switch s {
-	case SignalEpoch:
-		return "epoch"
-	case SignalPing:
-		return "ping"
-	case SignalKernel:
-		return "kernel"
-	default:
-		return "polling"
-	}
-}
-
-// newSource builds a fresh pulse source for the signal kind.
-func (s Signal) newSource() pulse.Source {
-	switch s {
-	case SignalEpoch:
-		return pulse.NewEpoch()
-	case SignalPing:
-		return pulse.NewPing()
-	case SignalKernel:
-		return pulse.NewKernel()
-	default:
-		return pulse.NewTimer()
-	}
-}
-
 // Topology describes a hierarchy of worker groups for topology-aware
 // stealing: workers prefer victims in their own leaf group and widen the
 // search outward only after the near tiers come up empty. The zero value is
@@ -172,8 +129,6 @@ type Team struct {
 	ws        *sched.Team
 	nworkers  int
 	heartbeat time.Duration
-	signal    Signal
-	watchdog  int
 	// topo is the explicit worker-group hierarchy (WithTopology); topoSet
 	// distinguishes an explicit flat topology from "unset, consult
 	// HBC_TOPOLOGY".
@@ -206,9 +161,6 @@ func Workers(n int) Option { return func(t *Team) { t.nworkers = n } }
 // Heartbeat sets the heartbeat period. Defaults to 100µs, the paper's rate.
 func Heartbeat(d time.Duration) Option { return func(t *Team) { t.heartbeat = d } }
 
-// WithSignal selects the heartbeat mechanism. Defaults to SignalPolling.
-func WithSignal(s Signal) Option { return func(t *Team) { t.signal = s } }
-
 // WithTopology groups the team's workers into the given hierarchy for
 // topology-aware stealing: victims are tried nearest-first (own leaf group,
 // then sibling groups, then the rest of the team), cross-group submissions
@@ -227,10 +179,10 @@ func WithTopology(topo Topology) Option {
 
 // WithTelemetry enables the unified telemetry layer (internal/telemetry):
 // a per-worker ring-buffer tracer recording promotions, steals, parks and
-// wakes, heartbeat deliveries, watchdog failovers, and Adaptive Chunking
-// retunes — exportable as Chrome trace_event JSON or a text timeline — and
-// a metrics registry snapshotting scheduler, pulse, and run statistics in
-// Prometheus and expvar form, servable from an opt-in HTTP endpoint
+// wakes, heartbeat deliveries, and Adaptive Chunking retunes — exportable
+// as Chrome trace_event JSON or a text timeline — and a metrics registry
+// snapshotting scheduler, pulse, and run statistics in Prometheus and
+// expvar form, servable from an opt-in HTTP endpoint
 // (Telemetry().Registry.Serve). eventsPerWorker sizes each worker's event
 // ring; <= 0 selects the default (telemetry.DefaultEventsPerWorker). A
 // full ring overwrites its oldest events and counts them as dropped.
@@ -266,31 +218,15 @@ func WithName(name string) Option { return func(t *Team) { t.name = name } }
 // creates for a loaded Runner. This is the injection point for delivery
 // faults (see internal/chaos.WrapSource): a serving stack's fault tests
 // stall or drop beats on a live team without reaching into the runtime. The
-// wrapper runs before the watchdog is attached, so a WithWatchdog team fails
-// over from a wrapped source exactly as it would from a genuinely silent
-// one. A nil wrap is ignored.
+// wrapper receives the team's pulse.Timer and returns the source the runner
+// polls. A nil wrap is ignored.
 func WithSourceWrapper(wrap func(pulse.Source) pulse.Source) Option {
 	return func(t *Team) { t.wrapSource = wrap }
 }
 
-// WithWatchdog arms a pulse watchdog on every Runner the team loads: if the
-// heartbeat source delivers no beat for grace periods (grace < 1 selects
-// pulse.DefaultGrace), the runner fails over to plain timer polling so
-// promotions keep flowing, and records the event in PulseStats().Failovers.
-// Meaningful for the goroutine-driven mechanisms (SignalEpoch, SignalPing,
-// SignalKernel), whose signaler can stall; SignalPolling cannot go silent.
-func WithWatchdog(grace int) Option {
-	return func(t *Team) {
-		t.watchdog = grace
-		if grace < 1 {
-			t.watchdog = pulse.DefaultGrace
-		}
-	}
-}
-
 // NewTeam creates a worker team. Close must be called to release it.
 func NewTeam(opts ...Option) *Team {
-	t := &Team{heartbeat: core.DefaultHeartbeat, signal: SignalPolling, nworkers: runtime.NumCPU()}
+	t := &Team{heartbeat: core.DefaultHeartbeat, nworkers: runtime.NumCPU()}
 	for _, o := range opts {
 		o(t)
 	}
@@ -475,11 +411,10 @@ type Config struct {
 	DisablePromotion bool
 	// Facts attaches the static analyzer's fact record for the kernel this
 	// nest was lowered from (analysis.BuildFacts). The compiled Program
-	// caches it (Program.Facts) for downstream consumers — the serve
-	// layer's purity-gated memoization — and, unless InitialChunk is also
-	// set, the facts' leaf cost estimate seeds Adaptive Chunking's starting
-	// chunk so the first heartbeat window begins near the right granularity
-	// instead of at 1.
+	// caches it (Program.Facts) for downstream consumers and, unless
+	// InitialChunk is also set, the facts' leaf cost estimate seeds
+	// Adaptive Chunking's starting chunk so the first heartbeat window
+	// begins near the right granularity instead of at 1.
 	Facts *analysis.Facts
 	// InitialChunk explicitly seeds Adaptive Chunking's starting chunk
 	// size, overriding any facts-derived hint. 0 means "derive from Facts,
@@ -555,8 +490,7 @@ type Program struct {
 }
 
 // Facts returns the analysis fact record attached at compile time
-// (Config.Facts), or nil. Consumers gate behavior on it: the serve layer
-// memoizes results only for kernels whose facts prove purity.
+// (Config.Facts), or nil.
 func (p *Program) Facts() *analysis.Facts { return p.facts }
 
 // Compile lowers a loop nest through the heartbeat middle-end: loop-slice
@@ -624,26 +558,17 @@ type Runner struct {
 
 // Load prepares a Program for execution on the team with the given
 // environment, starting the heartbeat source. On a team created with
-// WithTelemetry, the runner's promotions, heartbeat detections, chunk
-// retunes, and watchdog failovers are traced, and its run, pulse, and
-// chunk statistics are registered with the metrics registry under the
-// nest's name.
+// WithTelemetry, the runner's promotions, heartbeat detections, and chunk
+// retunes are traced, and its run, pulse, and chunk statistics are
+// registered with the metrics registry under the nest's name.
 func (t *Team) Load(p *Program, env any) *Runner {
-	src := t.signal.newSource()
+	var src pulse.Source = pulse.NewTimer()
 	if t.wrapSource != nil {
 		src = t.wrapSource(src)
-	}
-	var wd *pulse.Watchdog
-	if t.watchdog > 0 {
-		wd = pulse.NewWatchdog(src, t.watchdog)
-		src = wd
 	}
 	x := core.NewExec(p.p, t.ws, src, t.heartbeat, env)
 	if t.tel != nil {
 		x.SetTracer(t.tel.Tracer)
-		if wd != nil {
-			wd.SetTracer(t.tel.Tracer)
-		}
 		t.registerRunner(p, x)
 	}
 	x.Start()
@@ -673,7 +598,6 @@ func (t *Team) registerRunner(p *Program, x *core.Exec) {
 		emit("pulse_detected_total", float64(ps.Detected))
 		emit("pulse_missed_total", float64(ps.Missed))
 		emit("pulse_polls_total", float64(ps.Polls))
-		emit("pulse_failovers_total", float64(ps.Failovers))
 		emit("pulse_lag_mean_ns", float64(ps.LagMean))
 		emit("pulse_lag_max_ns", float64(ps.LagMax))
 		for w := 0; w < workers; w++ {
@@ -706,8 +630,8 @@ func (r *Runner) PinnedGroup() int { return r.x.PinnedGroup() }
 // If the nest fails — a loop body panics, or the team is closed — Run
 // panics with the *PanicError (or ErrTeamClosed) that RunCtx would have
 // returned, after detaching the heartbeat source so a failed run cannot
-// strand its signaling goroutine. Use RunCtx to get an error instead, with
-// the Runner left usable.
+// strand a goroutine a wrapped source started. Use RunCtx to get an error
+// instead, with the Runner left usable.
 func (r *Runner) Run() any { return r.x.Run() }
 
 // RunCtx executes one invocation of the nest under ctx and returns the root

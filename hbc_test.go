@@ -142,20 +142,6 @@ func TestTPALConfigRuns(t *testing.T) {
 	}
 }
 
-func TestSignalMechanismsAllCorrect(t *testing.T) {
-	for _, sig := range []Signal{SignalPolling, SignalEpoch, SignalPing, SignalKernel} {
-		team := NewTeam(Workers(2), Heartbeat(200*time.Microsecond), WithSignal(sig))
-		var sum atomic.Int64
-		team.For(0, 50000, func(lo, hi int64) {
-			sum.Add(hi - lo)
-		})
-		team.Close()
-		if got := sum.Load(); got != 50000 {
-			t.Fatalf("%v: covered %d iterations, want 50000", sig, got)
-		}
-	}
-}
-
 func TestQuickForAnyRange(t *testing.T) {
 	team := testTeam(t, 2)
 	f := func(a, span uint16) bool {
@@ -167,18 +153,6 @@ func TestQuickForAnyRange(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSignalStrings(t *testing.T) {
-	names := map[Signal]string{
-		SignalPolling: "polling", SignalEpoch: "epoch",
-		SignalPing: "ping", SignalKernel: "kernel",
-	}
-	for s, want := range names {
-		if s.String() != want {
-			t.Fatalf("Signal(%d).String() = %q, want %q", s, s.String(), want)
-		}
 	}
 }
 

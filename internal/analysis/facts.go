@@ -17,10 +17,10 @@ package analysis
 //  4. bounds    — subscript range vs declared extent proofs (bounds.go).
 //
 // Consumers: hbc.Compile caches Facts on the compiled Program and seeds
-// Adaptive Chunking's initial chunk from the leaf cost estimate;
-// internal/serve gates result memoization on Pure; hbcc vet -facts dumps the
-// record as JSON; hbcc tune -explain prints the static estimates next to
-// measured tuning results. DESIGN.md §12 documents the schema.
+// Adaptive Chunking's initial chunk from the leaf cost estimate; hbcc vet
+// -facts dumps the record as JSON; hbcc tune -explain prints the static
+// estimates next to measured tuning results. DESIGN.md §12 documents the
+// schema.
 
 import (
 	"encoding/json"

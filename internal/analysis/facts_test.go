@@ -107,8 +107,8 @@ func TestPowersumFactsShape(t *testing.T) {
 	}
 }
 
-// TestDotnormPure: the pure fixture — no writes, root reduction — is what
-// the serve layer is allowed to memoize.
+// TestDotnormPure: the pure fixture — no writes, only a root reduction —
+// must be proven pure.
 func TestDotnormPure(t *testing.T) {
 	f := factsFor(t, "dotnorm.hbk")
 	if !f.Pure {

@@ -1,9 +1,9 @@
 // Package chaos is a seeded fault injector for the heartbeat runtime.
 //
 // The runtime's failure semantics — panic containment into typed errors,
-// cooperative cancellation at poll safepoints, and watchdog failover from a
-// silent heartbeat source — are promises about behaviour off the happy
-// path; this package makes them testable on the happy path's own workloads.
+// cooperative cancellation at poll safepoints, and exact serial completion
+// under a silent heartbeat source — are promises about behaviour off the
+// happy path; this package makes them testable on the happy path's own workloads.
 // In the style of chaos-engineering schedulers, every fault is deterministic
 // given its plan (and seed, where randomness is involved), so a failing soak
 // run is reproducible from the seed printed in its failure message.
@@ -16,7 +16,8 @@
 //     nest before compilation.
 //
 //   - SourcePlan wraps a pulse.Source with delivery faults: a permanent
-//     stall after a delay (a starved ping thread), random beat drops, and a
+//     stall after a delay (no beat is ever detected again, so promotion
+//     stops and the run finishes serially), random beat drops, and a
 //     one-shot worker freeze at a poll (a descheduled worker parked at a
 //     safepoint).
 package chaos
@@ -123,8 +124,9 @@ type SourcePlan struct {
 	// sequences make equal drops.
 	Seed int64
 	// StallAfter, if > 0, silences the source permanently once this much
-	// time has passed since Attach — the starved-ping-goroutine failure the
-	// watchdog exists for.
+	// time has passed since Attach. A stalled source means no more
+	// promotions: the run in flight and every later one finish serially,
+	// with the serial elision's result.
 	StallAfter time.Duration
 	// DropProb drops each detected beat batch with this probability —
 	// delivery jitter beyond what the mechanism itself produces.

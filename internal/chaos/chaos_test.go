@@ -133,10 +133,12 @@ func TestPanicMidNestEveryWorkload(t *testing.T) {
 	}
 }
 
-// TestStalledPingFailsOverMidRun stalls a signaling ping source under a
-// watchdog while a workload runs: the watchdog must record exactly one
-// failover in pulse.Stats and the run must still complete correctly.
-func TestStalledPingFailsOverMidRun(t *testing.T) {
+// TestStalledTimerStopsPromotions stalls the default Timer source for good
+// while a workload runs. With no beat left to detect, promotion stops: the
+// promotion count must not grow once the stall is active, and every run —
+// the one that crossed the stall and the serial ones after it — must still
+// compute the right output.
+func TestStalledTimerStopsPromotions(t *testing.T) {
 	w, err := workloads.New("mandelbrot")
 	if err != nil {
 		t.Fatal(err)
@@ -145,9 +147,8 @@ func TestStalledPingFailsOverMidRun(t *testing.T) {
 	team := sched.NewTeam(4)
 	defer team.Close()
 
-	faulty := WrapSource(pulse.NewPing(), SourcePlan{StallAfter: time.Millisecond})
-	wd := pulse.NewWatchdog(faulty, 8)
-	d := workloads.NewDriver(team, wd, 200*time.Microsecond, core.Options{})
+	faulty := WrapSource(pulse.NewTimer(), SourcePlan{StallAfter: 50 * time.Millisecond})
+	d := workloads.NewDriver(team, faulty, 200*time.Microsecond, core.Options{})
 	defer d.Close()
 	if err := w.BindHBC(d); err != nil {
 		t.Fatal(err)
@@ -155,22 +156,28 @@ func TestStalledPingFailsOverMidRun(t *testing.T) {
 
 	deadline := time.Now().Add(10 * time.Second)
 	runs := 0
-	for !wd.FailedOver() && time.Now().Before(deadline) {
+	for !faulty.Stalled() && time.Now().Before(deadline) {
 		w.RunHBC(d)
 		runs++
+		if err := w.Verify(); err != nil {
+			t.Fatalf("run %d before the stall: %v", runs, err)
+		}
 	}
 	if !faulty.Stalled() {
 		t.Fatal("stall fault never became active")
 	}
-	if !wd.FailedOver() {
-		t.Fatalf("watchdog did not fail over across %d runs on a stalled ping", runs)
+	atStall, _ := d.Stats()
+	if atStall == 0 {
+		t.Fatalf("no promotion in %d runs before the stall: the source never delivered", runs)
 	}
-	if st := wd.Stats(); st.Failovers != 1 {
-		t.Fatalf("Stats.Failovers = %d, want 1", st.Failovers)
-	}
-	// The run that crossed the failover completed; its output is correct.
-	if err := w.Verify(); err != nil {
-		t.Fatalf("run across failover: %v", err)
+	for i := 0; i < 3; i++ {
+		w.RunHBC(d)
+		if err := w.Verify(); err != nil {
+			t.Fatalf("run %d after the stall: %v", i, err)
+		}
+		if promos, _ := d.Stats(); promos != atStall {
+			t.Fatalf("run %d after the stall: promotions grew from %d to %d", i, atStall, promos)
+		}
 	}
 }
 

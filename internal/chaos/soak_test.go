@@ -23,9 +23,9 @@ import (
 var chaosSeed = flag.Int64("chaos.seed", 1, "seed for the chaos soak test")
 
 // TestChaosSoak hammers the runtime for a couple of seconds with randomized
-// nests, worker counts, heartbeat mechanisms, and faults — injected panics,
-// context deadlines, and degraded heartbeat delivery (drops, stalls under a
-// watchdog, frozen workers) — checking on every run that the failure
+// nests, worker counts, heartbeat rates, and faults — injected panics,
+// context deadlines, and degraded heartbeat delivery (drops, permanent
+// stalls, frozen workers) — checking on every run that the failure
 // semantics hold: typed errors, exact coverage on success, no lost abort,
 // and no goroutine leak. Skipped in -short mode.
 func TestChaosSoak(t *testing.T) {
@@ -100,16 +100,13 @@ func TestChaosSoak(t *testing.T) {
 				sp.FreezeWorker = rng.Intn(workers)
 				sp.FreezeAtPoll = int64(rng.Intn(50) + 1)
 			}
-			wrapped := WrapSource(src, sp)
 			if rng.Intn(2) == 0 {
-				// A full stall, survivable only by watchdog failover.
-				wrapped = WrapSource(src, SourcePlan{
+				src = WrapSource(src, SourcePlan{
 					Seed:       sp.Seed,
 					StallAfter: time.Duration(rng.Intn(300)+50) * time.Microsecond,
 				})
-				src = pulse.NewWatchdog(wrapped, rng.Intn(8)+1)
 			} else {
-				src = wrapped
+				src = WrapSource(src, sp)
 			}
 		}
 

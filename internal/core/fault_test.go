@@ -308,17 +308,44 @@ func TestRunCtxBeforeStart(t *testing.T) {
 	}
 }
 
+// goroutineSource is a heartbeat source with a helper goroutine that Attach
+// starts and Detach stops, as a source passed in through
+// hbc.WithSourceWrapper may have. live counts helpers still running.
+type goroutineSource struct {
+	pulse.Source
+	live       atomic.Int64
+	stop, done chan struct{}
+}
+
+func (s *goroutineSource) Attach(workers int, period time.Duration) {
+	s.Source.Attach(workers, period)
+	stop, done := make(chan struct{}), make(chan struct{})
+	s.stop, s.done = stop, done
+	s.live.Add(1)
+	go func() {
+		<-stop
+		s.live.Add(-1)
+		close(done)
+	}()
+}
+
+func (s *goroutineSource) Detach() {
+	close(s.stop)
+	<-s.done
+	s.Source.Detach()
+}
+
 // TestRunDetachesSourceOnPanic is the leak-guard regression test: a Run that
 // unwinds with a panic must not strand the heartbeat source it attached —
-// callers without a deferred Stop would otherwise leak the signaling
-// goroutine of an Epoch/Ping/Kernel source.
+// callers without a deferred Stop would otherwise leak any goroutine the
+// source started.
 func TestRunDetachesSourceOnPanic(t *testing.T) {
 	var covered atomic.Int64
 	trap := [2]int64{0, 0}
 	p := MustCompile(faultNest(&covered, &trap), Options{})
 	team := sched.NewTeam(1)
 	defer team.Close()
-	src := pulse.NewEpoch() // ticker goroutine: leaks if left attached
+	src := &goroutineSource{Source: pulse.NewManual()} // leaks if left attached
 	x := NewExec(p, team, src, time.Millisecond, nil)
 	x.Start()
 
@@ -332,6 +359,9 @@ func TestRunDetachesSourceOnPanic(t *testing.T) {
 	}()
 	if x.started {
 		t.Fatal("failed Run left the source attached")
+	}
+	if n := src.live.Load(); n != 0 {
+		t.Fatalf("source goroutine leaked after failed Run: %d still running", n)
 	}
 	// The Exec restarts cleanly after the failure-path Stop.
 	x.Start()

@@ -195,46 +195,3 @@ func measureStatic(cfg Config, w workloads.Workload) (time.Duration, error) {
 	}
 	return d, nil
 }
-
-func init() {
-	registerFigure(22, "Extension: signaling precision (detection lag)", fig22)
-}
-
-// fig22 quantifies the precision discussion of the paper's §5.2: how long
-// after a heartbeat is due (or delivered) does the worker act on it, per
-// mechanism. The kernel module's hardware timer should beat the ping
-// thread's sleep-based pacing; polling's lag is bounded by the distance
-// between promotion-ready points, which Adaptive Chunking keeps near
-// period/target.
-func fig22(cfg Config) (*stats.Table, error) {
-	tb := stats.NewTable("Experiment 22: heartbeat detection lag by mechanism",
-		"benchmark", "mechanism", "detection%", "lag-mean", "lag-max")
-	mechanisms := []func() pulse.Source{
-		func() pulse.Source { return pulse.NewTimer() },
-		func() pulse.Source { return pulse.NewEpoch() },
-		func() pulse.Source { return pulse.NewPing() },
-		func() pulse.Source { return pulse.NewKernel() },
-	}
-	for _, name := range []string{"spmv-powerlaw", "mandelbrot", "srad"} {
-		w, err := prepared(cfg, name)
-		if err != nil {
-			return nil, err
-		}
-		for _, mk := range mechanisms {
-			src := mk()
-			cfg.logf("fig22: %s %s\n", name, src.Name())
-			s, err := newHBCSession(cfg, w, src, core.Options{})
-			if err != nil {
-				return nil, err
-			}
-			if _, err := s.measure(cfg); err != nil {
-				s.close()
-				return nil, err
-			}
-			st := src.Stats()
-			s.close()
-			tb.Row(name, src.Name(), st.DetectionRate(), st.LagMean, st.LagMax)
-		}
-	}
-	return tb, nil
-}

@@ -24,12 +24,13 @@ func init() {
 //     bookkeeping and chunk-size transferring;
 //   - "+polling": the same chunking with the Timer source — adds the real
 //     clock-read polls of software polling;
-//   - "adaptive": the shipping configuration (Adaptive Chunking + polling);
-//   - "interrupt": the kernel-module model under Adaptive Chunking, whose
-//     per-event receive cost replaces the polling cost.
+//   - "adaptive": the shipping configuration (Adaptive Chunking + polling).
+//
+// The paper's fifth column, interrupt-based delivery, is not reproducible
+// in Go, which has no user-level interrupts.
 func fig7(cfg Config) (*stats.Table, error) {
 	tb := stats.NewTable("Figure 7: overhead over serial, promotion disabled (%)",
-		"benchmark", "machinery%", "+chunking%", "+polling%", "adaptive%", "interrupt%")
+		"benchmark", "machinery%", "+chunking%", "+polling%", "adaptive%")
 	one := cfg
 	one.Workers = 1 // sequential: the overhead experiment's configuration
 	staticChunk := core.ChunkPolicy{Kind: core.ChunkStatic, Size: 32}
@@ -52,7 +53,6 @@ func fig7(cfg Config) (*stats.Table, error) {
 			{pulse.NewNever(), core.Options{DisablePromotion: true, Chunk: staticChunk}},
 			{pulse.NewTimer(), core.Options{DisablePromotion: true, Chunk: staticChunk}},
 			{pulse.NewTimer(), core.Options{DisablePromotion: true}},
-			{pulse.NewKernel(), core.Options{DisablePromotion: true}},
 		}
 		row := []any{name}
 		for _, c := range cols {

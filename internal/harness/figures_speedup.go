@@ -14,7 +14,6 @@ func init() {
 	registerFigure(4, "HBC vs OpenMP (dynamic) on irregular workloads", fig4)
 	registerFigure(5, "Parallelism promotions by nesting level", fig5)
 	registerFigure(6, "HBC vs TPAL on the iterative loop benchmarks", fig6)
-	registerFigure(9, "Software polling vs interrupt mechanisms", fig9)
 	registerFigure(16, "HBC vs OpenMP (static) on regular workloads", fig16)
 }
 
@@ -90,8 +89,10 @@ func fig5(cfg Config) (*stats.Table, error) {
 }
 
 // fig6 compares HBC against the TPAL configuration (serial leftover task,
-// static chunking, ping-thread interrupts) on the eight iterative loop
-// benchmarks of the prior work.
+// static chunking) on the eight iterative loop benchmarks of the prior
+// work. TPAL's third ingredient, the ping-thread interrupt, has no Go
+// equivalent (no user-level interrupts), so both columns poll a
+// pulse.Timer.
 func fig6(cfg Config) (*stats.Table, error) {
 	tb := stats.NewTable("Figure 6: HBC vs TPAL speedup over serial",
 		"benchmark", "serial", "tpal", "hbc", "hbc/tpal")
@@ -108,7 +109,7 @@ func fig6(cfg Config) (*stats.Table, error) {
 		}
 		// TPAL: per-benchmark hand-tuned static chunks; 32 is the order of
 		// magnitude the prior work settles on for these kernels.
-		tpalT, err := measureHBC(cfg, w, pulse.NewPing(), core.Options{
+		tpalT, err := measureHBC(cfg, w, pulse.NewTimer(), core.Options{
 			Mode:  core.ModeTPAL,
 			Chunk: core.ChunkPolicy{Kind: core.ChunkStatic, Size: 32},
 		})
@@ -126,44 +127,6 @@ func fig6(cfg Config) (*stats.Table, error) {
 	}
 	gm0, gm1 := stats.GeoMean(tpalSp), stats.GeoMean(hbcSp)
 	tb.Row("geomean", "-", gm0, gm1, gm1/gm0)
-	return tb, nil
-}
-
-// fig9 compares the three heartbeat delivery mechanisms under otherwise
-// identical HBC configurations.
-func fig9(cfg Config) (*stats.Table, error) {
-	tb := stats.NewTable("Figure 9: heartbeat mechanisms, speedup over serial",
-		"benchmark", "ping-thread", "kernel-module", "software-polling")
-	var pingSp, kernSp, pollSp []float64
-	for _, name := range workloads.TPALSet() {
-		cfg.logf("fig9: %s\n", name)
-		w, err := prepared(cfg, name)
-		if err != nil {
-			return nil, err
-		}
-		serial, err := measureSerial(cfg, w)
-		if err != nil {
-			return nil, err
-		}
-		ping, err := measureHBC(cfg, w, pulse.NewPing(), core.Options{})
-		if err != nil {
-			return nil, err
-		}
-		kern, err := measureHBC(cfg, w, pulse.NewKernel(), core.Options{})
-		if err != nil {
-			return nil, err
-		}
-		poll, err := measureHBC(cfg, w, pulse.NewTimer(), core.Options{})
-		if err != nil {
-			return nil, err
-		}
-		sp, sk, so := stats.Speedup(serial, ping), stats.Speedup(serial, kern), stats.Speedup(serial, poll)
-		pingSp = append(pingSp, sp)
-		kernSp = append(kernSp, sk)
-		pollSp = append(pollSp, so)
-		tb.Row(name, sp, sk, so)
-	}
-	tb.Row("geomean", stats.GeoMean(pingSp), stats.GeoMean(kernSp), stats.GeoMean(pollSp))
 	return tb, nil
 }
 

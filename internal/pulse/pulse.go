@@ -1,27 +1,14 @@
-// Package pulse provides the heartbeat signaling mechanisms of the runtime.
+// Package pulse provides the heartbeat source of the runtime.
 //
 // Heartbeat scheduling needs a periodic event — the heartbeat — delivered to
-// every worker at a fixed rate. The paper compares two families of
-// mechanisms, both reproduced here:
-//
-//   - Software polling: the worker itself checks a cheap clock at
-//     promotion-ready program points. Timer polls the monotonic clock
-//     directly (the analog of reading the x86 TSC); Epoch polls an atomic
-//     counter bumped by a central ticker goroutine.
-//
-//   - Interrupt-style delivery: a signaling goroutine marks per-worker
-//     flags. Ping models the user-level SIGALRM "ping thread" of TPAL,
-//     including its inability to sustain the configured rate when the
-//     per-worker signaling cost is high; Kernel models the paper's Linux
-//     kernel module (hrtimer + IPI broadcast): near-perfect delivery
-//     accuracy but a fixed per-event receive cost (the measured 3800-cycle
-//     user→kernel→user round trip), charged at detection time.
-//
-// Go cannot interrupt a goroutine at an arbitrary instruction, so the
-// interrupt-style sources still surface at promotion-ready points; what
-// differs between sources — exactly as in the paper's evaluation — is who
-// generates the beat, how precisely, at what per-event cost, and how many
-// beats are missed.
+// every worker at a fixed rate. The paper compares software polling with
+// interrupt-style delivery (TPAL's ping thread, a Linux kernel module);
+// Go cannot interrupt a goroutine at an arbitrary instruction, so this
+// runtime uses software polling only: Timer, the worker itself reading the
+// monotonic clock at promotion-ready program points (the analog of reading
+// the x86 TSC). Manual is the deterministic source for tests and failure
+// injection. Source is the seam through which a caller wraps or replaces
+// the source (hbc.WithSourceWrapper).
 package pulse
 
 import (
@@ -37,14 +24,14 @@ type Source interface {
 	// Name identifies the mechanism in reports (e.g. "polling").
 	Name() string
 	// Attach prepares the source for the given number of workers and
-	// heartbeat period, starting any signaling goroutine.
+	// heartbeat period, starting any goroutine the source needs.
 	Attach(workers int, period time.Duration)
 	// Poll is called by worker w at a promotion-ready point. It returns the
 	// number of heartbeats that have arrived since this worker's previous
 	// detection: 0 means no heartbeat, 1 a promptly-detected beat, and k>1
 	// means k-1 beats were effectively missed (detected too late to act on).
 	Poll(w int) int
-	// Detach stops any signaling goroutine and freezes statistics.
+	// Detach stops any goroutine Attach started and freezes statistics.
 	Detach()
 	// Stats returns cumulative delivery statistics since Attach.
 	Stats() Stats
@@ -52,30 +39,23 @@ type Source interface {
 
 // Stats summarizes heartbeat generation and detection.
 type Stats struct {
-	// Generated is the number of heartbeats the mechanism should have
-	// delivered per worker (ideal timeline for polling sources, actual beats
-	// sent for signaling sources), summed over workers.
+	// Generated is the number of heartbeats the source should have
+	// delivered per worker (the ideal timeline for Timer), summed over
+	// workers.
 	Generated int64
 	// Detected is the number of polls that observed at least one heartbeat.
 	Detected int64
 	// Missed is the number of heartbeats that were never acted upon: beats
-	// observed late (k>1 in a single poll) plus, for signaling sources,
-	// beats the signaler failed to send on time.
+	// observed late (k>1 in a single poll).
 	Missed int64
 	// Polls is the total number of Poll calls.
 	Polls int64
 	// LagMean and LagMax characterize detection lag — the time from a
-	// beat's due (or delivery) moment to the poll that consumed it. This is
-	// the precision metric behind the paper's mechanism comparison (§5.2):
-	// the kernel module improves delivery precision over the ping thread,
-	// while polling's lag is bounded by the gap between promotion-ready
-	// points.
+	// beat's due moment to the poll that consumed it. This is the precision
+	// metric behind the paper's mechanism comparison (§5.2); polling's lag
+	// is bounded by the gap between promotion-ready points.
 	LagMean time.Duration
 	LagMax  time.Duration
-	// Failovers counts watchdog failovers: times a silent heartbeat source
-	// was detected and replaced by fallback Timer polling (see Watchdog).
-	// Zero for unwrapped sources.
-	Failovers int64
 }
 
 // DetectionRate returns Detected/(Detected+Missed) as a percentage, the
@@ -89,22 +69,19 @@ func (s Stats) DetectionRate() float64 {
 }
 
 func (s Stats) String() string {
-	out := fmt.Sprintf("generated=%d detected=%d missed=%d polls=%d rate=%.1f%% lag(mean=%v max=%v)",
+	return fmt.Sprintf("generated=%d detected=%d missed=%d polls=%d rate=%.1f%% lag(mean=%v max=%v)",
 		s.Generated, s.Detected, s.Missed, s.Polls, s.DetectionRate(), s.LagMean, s.LagMax)
-	if s.Failovers > 0 {
-		out += fmt.Sprintf(" failovers=%d", s.Failovers)
-	}
-	return out
 }
 
-// pad prevents false sharing between per-worker slots hammered by polls.
-type pad struct{ _ [56]byte }
+// pad prevents false sharing between per-worker slots hammered by polls:
+// it rounds workerSlot up to 128 bytes, two cache lines, so adjacent-line
+// prefetch does not couple neighbouring workers either. TestWorkerSlotPadded
+// pins the size to a multiple of 64.
+type pad struct{ _ [72]byte }
 
 type workerSlot struct {
 	deadline int64 // next heartbeat time (Timer) in ns since attach
-	seen     int64 // last epoch observed (Epoch/Ping/Kernel)
-	pending  int64 // beats delivered but not yet polled (Ping/Kernel)
-	stamp    int64 // delivery timestamp of the oldest pending beat, ns
+	pending  int64 // beats fired but not yet polled (Manual)
 	polls    int64
 	detected int64
 	missed   int64

@@ -35,9 +35,6 @@ func TestKernelAutoPicksGenerated(t *testing.T) {
 	if !ok || !g.generated {
 		t.Fatalf("dotnorm runnable is %T %+v, want the generated backend (artifact registered and current)", r, r)
 	}
-	if g.facts == nil {
-		t.Fatal("generated runnable lost its analysis facts (purity gate would break)")
-	}
 	v, err := g.RunCtx(context.Background())
 	if err != nil {
 		t.Fatalf("generated run: %v", err)

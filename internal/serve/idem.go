@@ -79,3 +79,14 @@ func (c *idemCache) size() int {
 	defer c.mu.Unlock()
 	return len(c.entries)
 }
+
+// copyResult defends the cache against mutation through shared pointers:
+// kernel root reductions surface as *float64, which would otherwise alias
+// every caller onto one cell.
+func copyResult(v any) any {
+	if f, ok := v.(*float64); ok {
+		c := *f
+		return &c
+	}
+	return v
+}

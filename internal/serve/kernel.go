@@ -12,18 +12,14 @@ import (
 
 	"hbc"
 	"hbc/gen"
-	"hbc/internal/analysis"
 	"hbc/internal/kernelfile"
 )
 
 // kernelRunnable adapts a loaded .hbk kernel to Runnable: reset the
-// shard-local data environment, then run under the request context. It also
-// carries the kernel's analysis facts (FactsProvider) so the pool can gate
-// memoization on proven purity.
+// shard-local data environment, then run under the request context.
 type kernelRunnable struct {
 	r         *hbc.Runner
 	env       gen.Env
-	facts     *analysis.Facts
 	sched     string
 	generated bool
 }
@@ -35,16 +31,14 @@ func (k *kernelRunnable) RunCtx(ctx context.Context) (any, error) {
 
 func (k *kernelRunnable) Close() { k.r.Close() }
 
-func (k *kernelRunnable) Facts() *analysis.Facts { return k.facts }
-
 func (k *kernelRunnable) Schedule() string { return k.sched }
 
 // KernelFile returns a BuildFunc that parses, vets, and compiles the .hbk
 // kernel file independently on each shard — each shard materializes its own
 // data environment, so shards share no mutable kernel state. The fact
 // engine runs once per shard too; its facts feed the runtime's initial
-// chunk hint and the pool's purity gate. Options (WithTunedPolicies) can
-// overlay a persisted scheduling choice onto the compile config.
+// chunk hint. Options (WithTunedPolicies) can overlay a persisted
+// scheduling choice onto the compile config.
 func KernelFile(path string, opts ...KernelOption) BuildFunc {
 	return buildKernel(path, kernelfile.Options{}, opts)
 }
@@ -77,7 +71,7 @@ func buildKernel(path string, lo kernelfile.Options, opts []KernelOption) BuildF
 		if err != nil {
 			return nil, err
 		}
-		return &kernelRunnable{r: team.Load(prog, k.Env), env: k.Env, facts: k.Facts,
+		return &kernelRunnable{r: team.Load(prog, k.Env), env: k.Env,
 			sched: prog.Schedule(), generated: k.Generated}, nil
 	}
 }

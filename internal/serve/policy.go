@@ -42,8 +42,7 @@ type ScheduleProvider interface {
 
 // Schedules reports each registered kernel's scheduling policy, for
 // kernels whose Runnable implements ScheduleProvider. Shards compile
-// identically, so shard 0 speaks for all (the same convention Memoize
-// uses for facts).
+// identically, so shard 0 speaks for all.
 func (p *Pool) Schedules() map[string]string {
 	out := make(map[string]string)
 	for name, r := range p.shards[0].runners {

@@ -39,7 +39,6 @@ import (
 	"time"
 
 	"hbc"
-	"hbc/internal/analysis"
 	"hbc/internal/telemetry"
 )
 
@@ -71,12 +70,6 @@ var ErrUnknownKernel = errors.New("serve: unknown kernel")
 // read-only once requests can arrive.
 var ErrStarted = errors.New("serve: pool already started")
 
-// ErrNotMemoizable is wrapped by Memoize when the kernel's analysis facts
-// are missing or do not prove purity: an impure kernel's effects (array
-// writes) are observable per run, so caching its result would change
-// behavior.
-var ErrNotMemoizable = errors.New("serve: kernel is not memoizable")
-
 // Runnable is one kernel instance bound to a shard: the pool guarantees
 // RunCtx is never called concurrently on the same Runnable (each shard
 // serves one request at a time), which is exactly the discipline hbc.Runner
@@ -84,14 +77,6 @@ var ErrNotMemoizable = errors.New("serve: kernel is not memoizable")
 type Runnable interface {
 	RunCtx(ctx context.Context) (any, error)
 	Close()
-}
-
-// FactsProvider is optionally implemented by a Runnable that carries the
-// static analyzer's fact record for its kernel (KernelFile runnables do).
-// The pool consults it to gate memoization: only a kernel whose facts prove
-// purity may have its result cached.
-type FactsProvider interface {
-	Facts() *analysis.Facts
 }
 
 // BuildFunc constructs a kernel instance on one shard. It is called once
@@ -130,12 +115,8 @@ type Config struct {
 	// "serve_tenant") and every shard team's groups ("shardN_sched", ...).
 	Registry *telemetry.Registry
 	// TeamOptions is appended to each shard team's construction options —
-	// the hook for hbc.WithSignal, hbc.WithWatchdog, hbc.WithSourceWrapper.
+	// the hook for hbc.WithSourceWrapper.
 	TeamOptions []hbc.Option
-	// MemoizePure automatically memoizes every registered kernel whose
-	// analysis facts prove purity (see Pool.Memoize). Kernels without facts
-	// or with effects are served normally.
-	MemoizePure bool
 	// IdemTTL bounds how long a completed run stays answerable from the
 	// idempotency cache (default 30s). It should exceed the longest retry
 	// backoff a well-behaved client applies, so a retried request whose
@@ -198,15 +179,11 @@ type Request struct {
 type Result struct {
 	// Value is the kernel's root reduction accumulator (nil if none).
 	Value any
-	// Shard is the shard that served the request, or -1 when the result was
-	// served from the memo cache without touching a shard.
+	// Shard is the shard that served the request.
 	Shard int
 	// Queued is the time spent in the admission queue; Run the execution
-	// time on the team. Both are zero for memoized results.
+	// time on the team. Both are zero for deduped results.
 	Queued, Run time.Duration
-	// Memoized reports that the result came from the pure-kernel memo cache
-	// rather than a fresh execution.
-	Memoized bool
 	// Deduped reports that the result was served from the idempotency cache:
 	// an earlier request with the same IdemKey already completed, and this
 	// one did not execute.
@@ -233,43 +210,6 @@ type shard struct {
 	runners map[string]Runnable
 }
 
-// memoEntry caches the result of one pure kernel. An entry exists only for
-// kernels Memoize accepted; it fills on the first successful execution and
-// every later request for that kernel is served from it without queuing.
-type memoEntry struct {
-	mu    sync.Mutex
-	valid bool
-	val   any
-}
-
-// get returns the cached value (copied, so callers cannot alias a shared
-// *float64) and whether the entry has been filled.
-func (m *memoEntry) get() (any, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.valid {
-		return nil, false
-	}
-	return copyResult(m.val), true
-}
-
-func (m *memoEntry) set(v any) {
-	m.mu.Lock()
-	m.valid, m.val = true, copyResult(v)
-	m.mu.Unlock()
-}
-
-// copyResult defends the cache against mutation through shared pointers:
-// kernel root reductions surface as *float64, which would otherwise alias
-// every caller onto one cell.
-func copyResult(v any) any {
-	if f, ok := v.(*float64); ok {
-		c := *f
-		return &c
-	}
-	return v
-}
-
 type tenantStats struct {
 	requests atomic.Int64
 	shed     atomic.Int64
@@ -284,10 +224,6 @@ type Pool struct {
 	q       *fairQueue
 	shards  []*shard
 	kernels map[string]bool
-	// memo holds one entry per memoized kernel. The map itself is written
-	// only before Start (Memoize enforces this), so lookups in Do need no
-	// lock; each entry serializes its own fills.
-	memo map[string]*memoEntry
 	// idem is the completed-run cache deduplicating retried idempotent
 	// requests (see Request.IdemKey).
 	idem *idemCache
@@ -307,7 +243,6 @@ type Pool struct {
 	tenantMu sync.Mutex
 	tenants  map[string]*tenantStats
 
-	memoHits  atomic.Int64
 	idemHits  atomic.Int64
 	admitted  atomic.Int64
 	shed      atomic.Int64
@@ -325,7 +260,6 @@ func NewPool(cfg Config) *Pool {
 		cfg:     cfg,
 		q:       newFairQueue(cfg.QueueDepth, cfg.Shards),
 		kernels: make(map[string]bool),
-		memo:    make(map[string]*memoEntry),
 		idem:    newIdemCache(cfg.IdemTTL),
 		drained: make(chan struct{}),
 		active:  make(map[*request]struct{}),
@@ -394,50 +328,11 @@ func (p *Pool) Kernels() []string {
 	return names
 }
 
-// Memoize enables result caching for a registered kernel. It is only legal
-// before Start, and only for a kernel whose Runnable carries analysis facts
-// (FactsProvider) proving purity: no array writes, no I/O, deterministic.
-// Anything else gets ErrNotMemoizable, naming the effects that block it —
-// an impure kernel's writes are observable per run, so replaying a cached
-// accumulator would silently drop them.
-func (p *Pool) Memoize(name string) error {
-	if p.started.Load() {
-		return ErrStarted
-	}
-	if !p.kernels[name] {
-		return fmt.Errorf("%w: %q", ErrUnknownKernel, name)
-	}
-	return p.memoize(name)
-}
-
-func (p *Pool) memoize(name string) error {
-	fp, ok := p.shards[0].runners[name].(FactsProvider)
-	if !ok || fp.Facts() == nil {
-		return fmt.Errorf("%w: %q carries no analysis facts", ErrNotMemoizable, name)
-	}
-	f := fp.Facts()
-	if !f.Pure {
-		return fmt.Errorf("%w: %q is impure (writes %v, noio=%v, deterministic=%v)",
-			ErrNotMemoizable, name, f.Effects.Writes, f.Effects.NoIO, f.Effects.Deterministic)
-	}
-	p.memo[name] = &memoEntry{}
-	return nil
-}
-
 // Start launches the shard dispatchers. The kernel table is frozen from
 // here on.
 func (p *Pool) Start() {
 	if p.started.Swap(true) {
 		return
-	}
-	if p.cfg.MemoizePure {
-		// Dispatchers are not running yet, so the memo map is still safely
-		// writable. Kernels that fail the purity gate simply serve normally.
-		for name := range p.kernels {
-			if p.memo[name] == nil {
-				_ = p.memoize(name)
-			}
-		}
 	}
 	for _, s := range p.shards {
 		p.wg.Add(1)
@@ -461,15 +356,6 @@ func (p *Pool) Do(ctx context.Context, req Request) (Result, error) {
 	}
 	if !p.kernels[req.Kernel] {
 		return Result{}, fmt.Errorf("%w: %q", ErrUnknownKernel, req.Kernel)
-	}
-	if e := p.memo[req.Kernel]; e != nil {
-		if v, ok := e.get(); ok {
-			// Pure kernel, cached result: serve without queuing or touching
-			// a shard. The request never enters the admission path, so it
-			// cannot be shed and cannot expire.
-			p.memoHits.Add(1)
-			return Result{Value: v, Shard: -1, Memoized: true}, nil
-		}
 	}
 	if req.IdemKey != "" {
 		if v, shard, ok := p.idem.get(req.IdemKey); ok {
@@ -626,9 +512,6 @@ func (p *Pool) serveOne(s *shard, r *request) {
 	switch {
 	case err == nil:
 		p.completed.Add(1)
-		if e := p.memo[r.kernel]; e != nil {
-			e.set(v)
-		}
 		if r.idemKey != "" {
 			// Cache the completion BEFORE acking (the done send below): once
 			// a client can observe the 200, a retry of the same key must hit
@@ -731,11 +614,9 @@ type Stats struct {
 	// Admitted, Shed, Completed, Failed, Expired are lifetime request
 	// counts. Admitted = Completed + Failed + Expired + still-in-system.
 	Admitted, Shed, Completed, Failed, Expired int64
-	// MemoHits counts requests served from the pure-kernel memo cache;
-	// these never enter the admission queue and are not in Admitted.
-	MemoHits int64
 	// IdemHits counts requests answered from the idempotency cache (retries
-	// of completed runs); like MemoHits they bypass admission.
+	// of completed runs); these never enter the admission queue and are not
+	// in Admitted.
 	IdemHits int64
 	// IdemEntries is the idempotency cache's current entry count.
 	IdemEntries int
@@ -770,7 +651,6 @@ func (p *Pool) Stats() Stats {
 		Completed:   p.completed.Load(),
 		Failed:      p.failed.Load(),
 		Expired:     p.expired.Load(),
-		MemoHits:    p.memoHits.Load(),
 		IdemHits:    p.idemHits.Load(),
 		IdemEntries: p.idem.size(),
 		Draining:    p.draining.Load(),
@@ -793,7 +673,6 @@ func (p *Pool) registerMetrics(reg *telemetry.Registry) {
 		emit("completed_total", float64(s.Completed))
 		emit("failed_total", float64(s.Failed))
 		emit("expired_total", float64(s.Expired))
-		emit("memo_hits_total", float64(s.MemoHits))
 		emit("idem_hits_total", float64(s.IdemHits))
 		emit("idem_entries", float64(s.IdemEntries))
 		emit("tenant_affine_pops_total", float64(s.AffinePops))

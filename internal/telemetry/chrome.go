@@ -67,8 +67,6 @@ func chromeArgs(e Event) map[string]any {
 		return map[string]any{"reason": reason}
 	case KindBeat:
 		return map[string]any{"beats": e.A, "leaf": e.B}
-	case KindFailover:
-		return map[string]any{"n": e.A}
 	case KindRetune:
 		return map[string]any{"leaf": e.A, "chunk": e.B, "prev": e.C, "min_polls": e.D, "row": e.E}
 	default:

@@ -9,9 +9,9 @@
 // production component only once those scheduling decisions are exportable
 // as time-series. This package is that layer:
 //
-//   - Tracer records promotions, steals, parks/wakes, heartbeat deliveries,
-//     watchdog failovers, and Adaptive Chunking retunes into one bounded
-//     ring buffer per worker. Each lane is written only by its owning worker
+//   - Tracer records promotions, steals, parks/wakes, heartbeat deliveries
+//     and Adaptive Chunking retunes into one bounded ring buffer per
+//     worker. Each lane is written only by its owning worker
 //     under a per-lane mutex that is uncontended except while a snapshot is
 //     being taken, so recording an event costs a lock/unlock pair on a warm,
 //     core-local line — cheap enough to leave on during measurement runs. A
@@ -60,9 +60,6 @@ const (
 	// beats observed (k>1 means k-1 were missed), B the ordinal of the leaf
 	// whose budget ran out (an interior latch spends its last leaf's).
 	KindBeat
-	// KindFailover is a watchdog failover from a silent heartbeat source to
-	// fallback timer polling: A is the failover ordinal (1 for the first).
-	KindFailover
 	// KindRetune is an Adaptive Chunking rescale: A is the leaf ordinal, B
 	// the new chunk size, C the previous chunk size, D the window's minimum
 	// observed poll count that drove the rescale, E the root loop's index
@@ -81,7 +78,7 @@ const (
 )
 
 var kindNames = [numKinds]string{
-	"promotion", "steal", "park", "unpark", "beat", "failover", "retune",
+	"promotion", "steal", "park", "unpark", "beat", "retune",
 }
 
 func (k Kind) String() string {

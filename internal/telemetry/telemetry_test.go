@@ -94,7 +94,6 @@ func buildSnapshot() Snapshot {
 	tr.Emit(1, KindSteal, 0, 1500, 0, 0, 0)
 	tr.Emit(1, KindPark, 0, 0, 0, 0, 0)
 	tr.Emit(1, KindUnpark, UnparkWake, 0, 0, 0, 0)
-	tr.Emit(1, KindFailover, 1, 0, 0, 0, 0)
 	return tr.Snapshot()
 }
 

@@ -8,9 +8,9 @@ import (
 )
 
 // TestSoakRandomizedNests hammers the whole stack for a couple of seconds
-// with randomized nest shapes, worker counts, heartbeat rates and signal
-// mechanisms, checking exact iteration coverage on every run. Skipped in
-// -short mode.
+// with randomized nest shapes, worker counts and heartbeat rates on the
+// default heartbeat source, checking exact iteration coverage on every run.
+// Skipped in -short mode.
 func TestSoakRandomizedNests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test")
@@ -21,7 +21,6 @@ func TestSoakRandomizedNests(t *testing.T) {
 	for time.Now().Before(deadline) {
 		runs++
 		workers := rng.Intn(4) + 1
-		signal := Signal(rng.Intn(4))
 		period := time.Duration(rng.Intn(180)+20) * time.Microsecond
 		outer := int64(rng.Intn(300) + 1)
 		inner := int64(rng.Intn(80) + 1)
@@ -37,7 +36,7 @@ func TestSoakRandomizedNests(t *testing.T) {
 		}
 		cfg.Policy = PromotionPolicy(rng.Intn(3))
 
-		team := NewTeam(Workers(workers), Heartbeat(period), WithSignal(signal))
+		team := NewTeam(Workers(workers), Heartbeat(period))
 		var covered atomic.Int64
 		nest := &Nest{
 			Name: "soak",
@@ -67,8 +66,8 @@ func TestSoakRandomizedNests(t *testing.T) {
 			want += (i % inner) + 1
 		}
 		if got := covered.Load(); got != want {
-			t.Fatalf("run %d (workers=%d signal=%v period=%v cfg=%+v): covered %d, want %d",
-				runs, workers, signal, period, cfg, got, want)
+			t.Fatalf("run %d (workers=%d period=%v cfg=%+v): covered %d, want %d",
+				runs, workers, period, cfg, got, want)
 		}
 	}
 	t.Logf("soak: %d randomized runs", runs)
