@@ -115,8 +115,8 @@ func BenchmarkFig06(b *testing.B) {
 		w := prepareBench(b, name)
 		b.Run(name+"/tpal", func(b *testing.B) {
 			benchHBC(b, w, pulse.NewTimer(), core.Options{
-				Mode:  core.ModeTPAL,
-				Chunk: core.ChunkPolicy{Kind: core.ChunkStatic, Size: 32},
+				Mode:        core.ModeTPAL,
+				StaticChunk: 32,
 			})
 		})
 		b.Run(name+"/hbc", func(b *testing.B) {
@@ -134,7 +134,7 @@ func BenchmarkFig07(b *testing.B) {
 		b.Run(name+"/machinery", func(b *testing.B) {
 			benchHBC(b, w, pulse.NewNever(), core.Options{
 				DisablePromotion: true,
-				Chunk:            core.ChunkPolicy{Kind: core.ChunkStatic, Size: 1 << 30},
+				StaticChunk:      1 << 30,
 			})
 		})
 		b.Run(name+"/chunked", func(b *testing.B) {
@@ -153,13 +153,13 @@ func BenchmarkFig08(b *testing.B) {
 		b.Run(name+"/no-chunking", func(b *testing.B) {
 			benchHBC(b, w, pulse.NewTimer(), core.Options{
 				DisablePromotion: true,
-				Chunk:            core.ChunkPolicy{Kind: core.ChunkNone},
+				StaticChunk:      1,
 			})
 		})
 		b.Run(name+"/static-chunking", func(b *testing.B) {
 			benchHBC(b, w, pulse.NewTimer(), core.Options{
 				DisablePromotion: true,
-				Chunk:            core.ChunkPolicy{Kind: core.ChunkStatic, Size: 32},
+				StaticChunk:      32,
 			})
 		})
 		b.Run(name+"/adaptive-chunking", func(b *testing.B) {
@@ -194,7 +194,7 @@ func BenchmarkFig10(b *testing.B) {
 		for _, c := range []int64{1, 16, 256, 1024} {
 			b.Run(fmt.Sprintf("%s/chunk-%d", label, c), func(b *testing.B) {
 				benchHBC(b, w, pulse.NewTimer(), core.Options{
-					Chunk: core.ChunkPolicy{Kind: core.ChunkStatic, Size: c},
+					StaticChunk: c,
 				})
 			})
 		}
@@ -234,7 +234,7 @@ func BenchmarkFig11(b *testing.B) {
 	}
 	for _, c := range []int64{1, 32, 512} {
 		b.Run(fmt.Sprintf("static-%d", c), func(b *testing.B) {
-			run(b, core.Options{Chunk: core.ChunkPolicy{Kind: core.ChunkStatic, Size: c}})
+			run(b, core.Options{StaticChunk: c})
 		})
 	}
 	b.Run("adaptive", func(b *testing.B) { run(b, core.Options{}) })

@@ -1,34 +1,26 @@
 package main
 
-// `hbcc tune` explores the scheduling parameter space for one benchmark: it
-// sweeps the Adaptive Chunking target polling count and window size — the
+// `hbcc tune` explores Adaptive Chunking's parameter space for one
+// benchmark: it sweeps the target polling count and window size — the
 // exploration behind the paper's choice of target 4 / window 8 (Fig. 13 and
-// §6.6) — or, with -policies, sweeps the whole schedule catalog (adaptive,
-// static, guided, factoring, trapezoid, weighted, auto) and reports the
-// winner. -save persists winners to a tunefile that hbcserve -policy-file
-// loads at startup.
+// §6.6).
 //
 // Usage:
 //
 //	hbcc tune -bench spmv-powerlaw -scale 0.2
 //	hbcc tune -bench mandelbrot -targets 1,2,4,8,16 -windows 2,8,32
 //	hbcc tune -kernel kernels/powersum.hbk -explain
-//	hbcc tune -bench spmv-powerlaw -policies
-//	hbcc tune -kernel kernels/spmv.hbk -policies -save tuned.json
 //
 // With -kernel, tune sweeps a .hbk kernel file instead of a named Go
 // workload; -explain additionally prints the fact engine's static cost
 // model (per-loop trip counts, iteration costs, variance class, and the
 // initial-chunk hint that seeds Adaptive Chunking) next to the measured
 // results, so the analyzer's prediction can be compared with what the
-// runtime converged on. -policies -save keys the tunefile by kernel name
-// (what hbcserve registers kernels under), so the serve layer picks the
-// winner up directly.
+// runtime converged on.
 
 import (
 	"flag"
 	"fmt"
-	"os"
 	"runtime"
 	"sort"
 	"strconv"
@@ -42,25 +34,22 @@ import (
 	"hbc/internal/pulse"
 	"hbc/internal/sched"
 	"hbc/internal/stats"
-	"hbc/internal/tunefile"
 	"hbc/internal/workloads"
 )
 
-// point is one configuration of a sweep: Adaptive Chunking knobs (policy
-// empty), or a schedule policy at its defaults, measured over runs.
+// point is one Adaptive Chunking configuration of a sweep, measured over
+// runs.
 type point struct {
 	target, window int64
-	policy         string
 	runs           int
 }
 
 // measurement is what one point measured: median time, heartbeat detection
-// rate, settled chunk spread, and the auto selector's end state.
+// rate and settled chunk spread.
 type measurement struct {
 	median    time.Duration
 	detection float64
 	chunks    string
-	note      string
 }
 
 func tuneCmd(fs *flag.FlagSet) func([]string) {
@@ -75,14 +64,9 @@ func tuneCmd(fs *flag.FlagSet) func([]string) {
 		targets   = fs.String("targets", "1,2,4,8,16", "target polling counts to sweep")
 		windows   = fs.String("windows", "8", "window sizes to sweep")
 		verify    = fs.Bool("verify", false, "verify against the serial oracle")
-		policies  = fs.Bool("policies", false, "sweep the schedule catalog instead of AC parameters")
-		save      = fs.String("save", "", "with -policies: record the winning policy in this tunefile")
 	)
 	return func([]string) {
-		if *save != "" && !*policies {
-			fatal(fmt.Errorf("-save requires -policies (only the policy sweep picks a winner to persist)"))
-		}
-		var key, what string
+		var what string
 		var measure func(point) measurement
 		if *kernel != "" {
 			k, err := kernelfile.Load(*kernel, kernelfile.Options{})
@@ -92,8 +76,7 @@ func tuneCmd(fs *flag.FlagSet) func([]string) {
 			if *explain {
 				printCostModel(k.Facts)
 			}
-			key = k.Facts.Kernel
-			what = fmt.Sprintf("%s (kernel %s, %d workers)", key, *kernel, *workers)
+			what = fmt.Sprintf("%s (kernel %s, %d workers)", k.Facts.Kernel, *kernel, *workers)
 			measure = func(p point) measurement { return measureKernel(k, p, *workers, *heartbeat) }
 		} else {
 			if *explain {
@@ -104,13 +87,8 @@ func tuneCmd(fs *flag.FlagSet) func([]string) {
 				fatal(err)
 			}
 			w.Prepare(*scale)
-			key = *bench
-			what = fmt.Sprintf("%s (scale %.2f, %d workers)", key, *scale, *workers)
+			what = fmt.Sprintf("%s (scale %.2f, %d workers)", *bench, *scale, *workers)
 			measure = func(p point) measurement { return measureBench(w, p, *workers, *heartbeat, *verify) }
-		}
-		if *policies {
-			sweepPolicies(what, key, *runs, *workers, *save, measure)
-			return
 		}
 		tb := stats.NewTable("Adaptive Chunking sweep: "+what,
 			"target", "window", "median", "detection%", "chunk min/med/max")
@@ -130,9 +108,6 @@ func tuneCmd(fs *flag.FlagSet) func([]string) {
 // from the analyzer's starting point, not from the paper's cold chunk of 1.
 func measureKernel(k *kernelfile.Kernel, p point, workers int, heartbeat time.Duration) measurement {
 	cfg := hbc.Config{Facts: k.Facts, TargetPolls: p.target, WindowSize: int(p.window)}
-	if p.policy != "" {
-		cfg.Sched, cfg.SchedProfileRuns = p.policy, 1
-	}
 	prog, err := hbc.Compile(k.Nest, cfg)
 	if err != nil {
 		fatal(err)
@@ -142,20 +117,12 @@ func measureKernel(k *kernelfile.Kernel, p point, workers int, heartbeat time.Du
 	r := team.Load(prog, k.Env)
 	defer r.Close()
 	med := median(p.runs, k.Env.Reset, func() { r.Run() })
-	rs := []*hbc.Runner{r}
-	return measurement{med, r.PulseStats().DetectionRate(), summarizeChunks(rs, workers), selectorNote(rs)}
+	return measurement{med, r.PulseStats().DetectionRate(), summarizeChunks([]*hbc.Runner{r}, workers)}
 }
 
 // measureBench runs a named Go workload at one sweep point on a fresh team.
 func measureBench(w workloads.Workload, p point, workers int, heartbeat time.Duration, verify bool) measurement {
 	opts := core.Options{TargetPolls: p.target, WindowSize: int(p.window)}
-	if p.policy != "" {
-		kind, err := core.ParseChunkKind(p.policy)
-		if err != nil {
-			fatal(err)
-		}
-		opts.Chunk = core.ChunkPolicy{Kind: kind, ProfileRuns: 1}
-	}
 	src := pulse.NewTimer()
 	team := sched.NewTeam(workers)
 	defer team.Close()
@@ -170,35 +137,7 @@ func measureBench(w workloads.Workload, p point, workers int, heartbeat time.Dur
 			fatal(err)
 		}
 	}
-	return measurement{med, src.Stats().DetectionRate(), summarizeChunks(drv.Execs(), workers), selectorNote(drv.Execs())}
-}
-
-// sweepPolicies measures every schedule in the catalog except "none" (the
-// unchunked baseline rather than a schedule worth persisting), reports
-// medians, and saves the fastest under key when save is set.
-func sweepPolicies(what, key string, runs, workers int, save string, measure func(point) measurement) {
-	tb := stats.NewTable("Schedule sweep: "+what,
-		"policy", "runs", "median", "detection%", "chunk min/med/max", "note")
-	var bestName string
-	var bestMed time.Duration
-	for _, name := range core.ScheduleNames() {
-		if name == "none" {
-			continue
-		}
-		r := policyRuns(name, runs)
-		m := measure(point{policy: name, runs: r})
-		tb.Row(name, r, m.median, m.detection, m.chunks, m.note)
-		if bestName == "" || m.median < bestMed {
-			bestName, bestMed = name, m.median
-		}
-	}
-	fmt.Println(tb.String())
-	fmt.Printf("hbcc tune: winner %s (median %v)\n", bestName, bestMed)
-	saveChoice(save, key, tunefile.Choice{
-		Policy:   bestName,
-		MedianNs: bestMed.Nanoseconds(),
-		Workers:  workers,
-	})
+	return measurement{med, src.Stats().DetectionRate(), summarizeChunks(drv.Execs(), workers)}
 }
 
 // summarizeChunks reports the spread of settled chunk sizes as
@@ -233,61 +172,6 @@ func summarizeChunks[X interface{ Chunks(w int) []int64 }](xs []X, workers int) 
 	}
 	sort.Slice(medians, func(i, j int) bool { return medians[i] < medians[j] })
 	return fmt.Sprintf("%d/%d/%d", lo, medians[len(medians)/2], hi)
-}
-
-// policyRuns widens the repetition count for the auto selector so the
-// sweep actually reaches a locked decision: one profiling run per
-// candidate (ProfileRuns is forced to 1), plus a few post-lock runs that
-// measure the winner.
-func policyRuns(policy string, runs int) int {
-	if policy != "auto" {
-		return runs
-	}
-	// The default candidate set is every schedule except "none" and "auto"
-	// itself; with ProfileRuns forced to 1, one run profiles one candidate,
-	// and three more measure the locked winner.
-	if min := len(core.ScheduleNames()) - 2 + 3; runs < min {
-		return min
-	}
-	return runs
-}
-
-// selectorNote reports the auto selector's end state ("locked→guided" or
-// how far profiling got); empty for fixed policies.
-func selectorNote[X interface {
-	SelectorState() (core.SelectorState, bool)
-}](xs []X) string {
-	for _, x := range xs {
-		st, ok := x.SelectorState()
-		if !ok {
-			continue
-		}
-		if st.Locked {
-			return "locked→" + st.Winner
-		}
-		return fmt.Sprintf("profiling %s (%d done)", st.Active, st.Profiled)
-	}
-	return ""
-}
-
-// saveChoice merges one winner into the tunefile at path (creating it if
-// absent), so successive sweeps over different kernels accumulate.
-func saveChoice(path, key string, c tunefile.Choice) {
-	if path == "" {
-		return
-	}
-	f, err := tunefile.Load(path)
-	if err != nil {
-		if !os.IsNotExist(err) {
-			fatal(err)
-		}
-		f = tunefile.New()
-	}
-	f.Set(key, c)
-	if err := f.Save(path); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("hbcc tune: saved %s policy %q to %s\n", key, c.Policy, path)
 }
 
 // printCostModel renders the fact engine's per-loop estimates — the static

@@ -8,7 +8,6 @@
 //
 //	hbcserve -kernels kernels                       # serve on :8077
 //	hbcserve -shards 4 -workers 2 -queue 64
-//	hbcserve -policy-file tuned.json                # per-kernel schedules
 //
 // API:
 //
@@ -59,7 +58,6 @@ import (
 	_ "hbc/gen/kernels" // registry for serve.KernelAuto's generated path
 	"hbc/internal/serve"
 	"hbc/internal/telemetry"
-	"hbc/internal/tunefile"
 )
 
 func main() {
@@ -78,20 +76,8 @@ func main() {
 		finalSnap = flag.String("final-snapshot", "", "write the final post-drain registry snapshot (expvar JSON) to this file")
 		leakGrace = flag.Duration("leak-grace", 3*time.Second, "how long to wait for goroutines to settle before the leak check")
 		maxBody   = flag.Int64("max-body", 1<<20, "request body byte limit; oversized POSTs get 413")
-		policyF   = flag.String("policy-file", "", "tunefile of per-kernel scheduling policies (from hbcc tune -policies -save)")
 	)
 	flag.Parse()
-
-	var tuned *tunefile.File
-	if *policyF != "" {
-		f, err := tunefile.Load(*policyF)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hbcserve:", err)
-			os.Exit(2)
-		}
-		tuned = f
-		fmt.Printf("hbcserve: loaded %d tuned polic(ies) from %s\n", len(f.Kernels), *policyF)
-	}
 
 	// Install the signal handler before anything can answer /readyz: a
 	// SIGTERM sent as soon as the server is ready must start a drain, not
@@ -145,7 +131,7 @@ func main() {
 		Registry:        reg,
 	})
 
-	loaded, skipped := loadKernels(pool, *kernelDir, tuned)
+	loaded, skipped := loadKernels(pool, *kernelDir)
 	if len(loaded) == 0 {
 		fmt.Fprintf(os.Stderr, "hbcserve: no loadable kernels in %s\n", *kernelDir)
 		os.Exit(2)
@@ -157,12 +143,6 @@ func main() {
 	}
 	fmt.Println()
 	pool.Start()
-	scheds := pool.Schedules()
-	for _, name := range pool.Kernels() {
-		if s, ok := scheds[name]; ok {
-			fmt.Printf("hbcserve: kernel %s schedule=%s\n", name, s)
-		}
-	}
 
 	mux := newMux(pool, reg, *maxBody)
 
@@ -383,9 +363,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // returning the names loaded and the count skipped (parse/vet/compile
 // failures are reported and skipped). Registration goes through
 // serve.KernelAuto, so kernels with a current generated artifact
-// (gen/kernels) serve on the specialized backend automatically. When tuned
-// is non-nil, each kernel compiles with its persisted scheduling choice.
-func loadKernels(pool *serve.Pool, dir string, tuned *tunefile.File) (loaded []string, skipped int) {
+// (gen/kernels) serve on the specialized backend automatically.
+func loadKernels(pool *serve.Pool, dir string) (loaded []string, skipped int) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hbcserve:", err)
@@ -397,7 +376,7 @@ func loadKernels(pool *serve.Pool, dir string, tuned *tunefile.File) (loaded []s
 		}
 		path := filepath.Join(dir, d.Name())
 		name := strings.TrimSuffix(d.Name(), ".hbk")
-		if err := pool.Register(name, serve.KernelAuto(path, serve.WithTunedPolicies(tuned))); err != nil {
+		if err := pool.Register(name, serve.KernelAuto(path)); err != nil {
 			fmt.Fprintf(os.Stderr, "hbcserve: skipping %s: %v\n", path, err)
 			skipped++
 			continue

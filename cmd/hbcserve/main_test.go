@@ -229,7 +229,7 @@ func TestLoadKernelsSkipsSubdirectories(t *testing.T) {
 	}
 	pool := serve.NewPool(serve.Config{Shards: 1, WorkersPerShard: 1})
 	defer pool.Close()
-	loaded, skipped := loadKernels(pool, dir, nil)
+	loaded, skipped := loadKernels(pool, dir)
 	if len(loaded) != 1 || loaded[0] != "a" || skipped != 0 {
 		t.Fatalf("loadKernels = %v (skipped %d), want [a] (skipped 0)", loaded, skipped)
 	}

@@ -75,7 +75,7 @@ func TestRunCtxDeadlineCancelsRun(t *testing.T) {
 			},
 		},
 	}
-	r := team.Load(MustCompile(nest, Config{Sched: "none"}), nil)
+	r := team.Load(MustCompile(nest, Config{StaticChunk: 1}), nil)
 	defer r.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)

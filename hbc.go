@@ -401,7 +401,8 @@ type Config struct {
 	// Policy selects the promotion target (default outer-loop-first).
 	Policy PromotionPolicy
 	// StaticChunk, if > 0, disables adaptive chunking in favor of this
-	// fixed leaf chunk size.
+	// fixed leaf chunk size (1 polls at every iteration: the paper's "No
+	// chunking"). A negative size is a Compile error.
 	StaticChunk int64
 	// TargetPolls and WindowSize tune Adaptive Chunking (defaults 4 and 8).
 	TargetPolls int64
@@ -420,32 +421,6 @@ type Config struct {
 	// size, overriding any facts-derived hint. 0 means "derive from Facts,
 	// else start at 1 (the paper's default)".
 	InitialChunk int64
-	// Sched selects the scheduling policy by name: "adaptive" (the paper's
-	// §5.1 default), "static", "none", "guided", "factoring", "trapezoid",
-	// "weighted", or "auto" (the LB4OMP-style online selector, which
-	// profiles each candidate for SchedProfileRuns invocations and locks
-	// the winner). Empty selects "static" when StaticChunk > 0, else
-	// "adaptive".
-	// Unknown names are a Compile error. See also WithPolicy.
-	Sched string
-	// MinChunk floors the decreasing schedules (guided, factoring,
-	// trapezoid, weighted). Default 1.
-	MinChunk int64
-	// SchedWeights are per-worker weights for the "weighted" schedule
-	// (mean-normalized; shorter slices cycle over the team).
-	SchedWeights []float64
-	// SchedProfileRuns is how many invocations the "auto" selector profiles
-	// per candidate before locking. Default 3.
-	SchedProfileRuns int
-}
-
-// WithPolicy returns a copy of the Config with the named scheduling policy
-// selected — the fluent form of setting Sched:
-//
-//	prog, err := hbc.Compile(nest, hbc.Config{}.WithPolicy("guided"))
-func (c Config) WithPolicy(name string) Config {
-	c.Sched = name
-	return c
 }
 
 func (c Config) coreOptions() core.Options {
@@ -453,6 +428,7 @@ func (c Config) coreOptions() core.Options {
 		Policy:           c.Policy,
 		TargetPolls:      c.TargetPolls,
 		WindowSize:       c.WindowSize,
+		StaticChunk:      c.StaticChunk,
 		InitialChunk:     c.InitialChunk,
 		DisablePromotion: c.DisablePromotion,
 	}
@@ -461,24 +437,6 @@ func (c Config) coreOptions() core.Options {
 	}
 	if c.TPAL {
 		o.Mode = core.ModeTPAL
-	}
-	switch {
-	case c.Sched != "":
-		// The name was already validated by Compile. StaticChunk doubles as
-		// the "static" schedule's size (and the static candidate's size
-		// under "auto").
-		kind, _ := core.ParseChunkKind(c.Sched)
-		o.Chunk = core.ChunkPolicy{
-			Kind:        kind,
-			Size:        c.StaticChunk,
-			MinChunk:    c.MinChunk,
-			Weights:     c.SchedWeights,
-			ProfileRuns: c.SchedProfileRuns,
-		}
-	case c.StaticChunk > 0:
-		o.Chunk = core.ChunkPolicy{Kind: core.ChunkStatic, Size: c.StaticChunk}
-	default:
-		o.Chunk = core.ChunkPolicy{Kind: core.ChunkAdaptive}
 	}
 	return o
 }
@@ -500,11 +458,6 @@ func (p *Program) Facts() *analysis.Facts { return p.facts }
 // — e.g. a Fresh that hands every task the same accumulator — are rejected
 // here rather than surfacing as races at run time.
 func Compile(nest *Nest, cfg Config) (*Program, error) {
-	if cfg.Sched != "" {
-		if _, err := core.ParseChunkKind(cfg.Sched); err != nil {
-			return nil, err
-		}
-	}
 	if diags := analysis.VetNest(nest); analysis.HasErrors(diags) {
 		var msgs []string
 		for _, d := range diags {
@@ -542,10 +495,6 @@ func (p *Program) RunStatic(t *Team, env any) any { return p.p.RunStatic(t.ws, e
 
 // Leftovers returns the number of leftover tasks in the compiled table.
 func (p *Program) Leftovers() int { return p.p.LeftoverCount() }
-
-// Schedule returns the name of the scheduling policy the program was
-// compiled with ("adaptive", "static", "guided", ..., "auto").
-func (p *Program) Schedule() string { return p.p.Options().Chunk.Kind.String() }
 
 // Runner binds a compiled Program to a Team and an environment. Adaptive
 // chunking state persists across Run calls, so repeated invocations keep
@@ -661,15 +610,3 @@ func (r *Runner) PulseStats() pulse.Stats { return r.x.Pulse() }
 
 // Chunks returns worker w's current per-leaf chunk sizes.
 func (r *Runner) Chunks(w int) []int64 { return r.x.Chunks(w) }
-
-// PolicyName returns the name of the scheduling policy in force for this
-// runner ("adaptive", "static", ..., or "auto" for the online selector).
-func (r *Runner) PolicyName() string { return r.x.PolicyName() }
-
-// SelectorState is a snapshot of the online schedule selector's progress
-// (profiling position, per-candidate medians, locked winner).
-type SelectorState = core.SelectorState
-
-// SelectorState reports the online selector's progress; ok is false unless
-// the runner's program was compiled with the "auto" policy.
-func (r *Runner) SelectorState() (SelectorState, bool) { return r.x.SelectorState() }

@@ -46,12 +46,12 @@ func TestChaosSoak(t *testing.T) {
 		opts := core.Options{}
 		switch rng.Intn(4) {
 		case 0:
-			opts.Chunk = core.ChunkPolicy{Kind: core.ChunkStatic, Size: int64(rng.Intn(20) + 1)}
+			opts.StaticChunk = int64(rng.Intn(20) + 1)
 		case 1:
-			opts.Chunk = core.ChunkPolicy{Kind: core.ChunkNone}
+			opts.StaticChunk = 1
 		case 2:
 			opts.Mode = core.ModeTPAL
-			opts.Chunk = core.ChunkPolicy{Kind: core.ChunkStatic, Size: 8}
+			opts.StaticChunk = 8
 		}
 
 		var want int64

@@ -184,23 +184,20 @@ func TestDifferentialSerial(t *testing.T) {
 // TestDifferentialHeartbeat runs both paths through the heartbeat engine
 // under a deterministic configuration (1 worker, never-firing source) —
 // the generated path through its slice-task entries at every level — under
-// every schedule except the timing-driven auto selector, and requires
-// bit-identical results and the same number of polls: the emitted slices
-// and the generic drivers spend and poll the budget by one rule, and ask
-// the schedule for the same chunks with the same remaining counts.
+// Adaptive Chunking, a poll at every iteration ("none", StaticChunk 1) and
+// a fixed chunk of 32, and requires bit-identical results and the same
+// number of polls: the emitted slices and the generic drivers spend and
+// poll the budget by one rule, and ask for the same chunks.
 func TestDifferentialHeartbeat(t *testing.T) {
+	chunks := []struct {
+		name string
+		size int64
+	}{{"adaptive", 0}, {"none", 1}, {"static", 32}}
 	for _, name := range goodKernels {
 		t.Run(name, func(t *testing.T) {
-			for _, sched := range core.ScheduleNames() {
-				if sched == "auto" {
-					continue
-				}
-				kind, err := core.ParseChunkKind(sched)
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Run(sched, func(t *testing.T) {
-					differentialHeartbeat(t, name, core.Options{Chunk: core.ChunkPolicy{Kind: kind}})
+			for _, c := range chunks {
+				t.Run(c.name, func(t *testing.T) {
+					differentialHeartbeat(t, name, core.Options{StaticChunk: c.size})
 				})
 			}
 		})

@@ -29,7 +29,7 @@ func TestMachineryOverheadDrop(t *testing.T) {
 	const rounds = 7
 	opts := core.Options{
 		DisablePromotion: true,
-		Chunk:            core.ChunkPolicy{Kind: core.ChunkStatic, Size: 1 << 30},
+		StaticChunk:      1 << 30,
 	}
 	for _, name := range goodKernels {
 		gk, ok := gen.Lookup(name)

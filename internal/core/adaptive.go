@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/bits"
+	"sync/atomic"
 )
 
 // Adaptive Chunking (AC) — the paper's §5.1 runtime.
@@ -18,10 +19,10 @@ import (
 // per worker and per leaf loop, start at 1, and persist across invocations
 // of the same program — the repeated-invocation adaptation of Fig. 11.
 //
-// The window bookkeeping lives here, in acWorker; the chunk slots and the
-// rescale decision live in the policy layer (policy.go), where AC is one
-// of several pluggable schedules. Exec.poll feeds each completed window to
-// SchedPolicy.OnWindow.
+// The window bookkeeping lives in acWorker, the chunk sizes in chunker,
+// which also carries the one alternative to AC: a fixed chunk size
+// (Options.StaticChunk). Exec.poll feeds each completed window to
+// chunker.retune; every budget refill reads chunker.next.
 
 // acWorker is one worker's heartbeat-window state. Each slot is written
 // only by its owning worker. Slots live in a contiguous slice (Exec.ac), so
@@ -99,14 +100,75 @@ func (a *acWorker) onHeartbeat() (m int64, done bool) {
 	return m, true
 }
 
+// chunkRow is one worker's row of chunk slots, one per leaf. Rows live in
+// a contiguous slice indexed by worker and a retune stores into its own
+// row on the hot path, so rows are cache-line padded on both sides like
+// the acWorker slots.
+//
+//hbc:padded
+type chunkRow struct {
+	_ [64]byte // leading pad: isolate from the previous row / slice header
+	c []atomic.Int64
+	_ [64]byte // trailing pad: isolate from the next row's leading bytes
+}
+
+// chunker decides leaf chunk sizes: Adaptive Chunking's per-worker
+// per-leaf slots, retuned from completed poll windows by
+// chunk * m / target, or one fixed size when static > 0. A slot is written
+// only by its owning worker and read concurrently by observers
+// (Exec.Chunks), hence atomic.
+type chunker struct {
+	rows   []chunkRow // nil when static > 0
+	static int64
+	target int64
+	max    int64
+}
+
+func newChunker(workers, leaves int, o Options) chunker {
+	c := chunker{static: o.StaticChunk, target: o.TargetPolls, max: o.MaxChunk}
+	if c.static > 0 {
+		return c
+	}
+	c.rows = make([]chunkRow, workers)
+	for w := range c.rows {
+		c.rows[w].c = make([]atomic.Int64, leaves)
+		for i := range c.rows[w].c {
+			c.rows[w].c[i].Store(o.InitialChunk)
+		}
+	}
+	return c
+}
+
+// next returns worker w's chunk size for leaf ord.
+func (c *chunker) next(w, ord int) int64 {
+	if c.static > 0 {
+		return c.static
+	}
+	return c.rows[w].c[ord].Load()
+}
+
+// retune applies a completed poll window with minimum poll count m to
+// worker w's chunk for leaf ord and reports the rescale for tracing. A
+// fixed size never retunes.
+func (c *chunker) retune(w, ord int, m int64) (prev, next int64, retuned bool) {
+	if c.static > 0 {
+		return 0, 0, false
+	}
+	slot := &c.rows[w].c[ord]
+	prev = slot.Load()
+	next = rescaleChunk(prev, m, c.target, c.max)
+	slot.Store(next)
+	return prev, next, true
+}
+
 // Chunks returns worker w's current chunk size for each leaf, for
 // observation by experiments and the telemetry registry. Safe to call
-// while a run is active: policies keep their observable state in atomic
-// slots, so sampling never races with the owner's updates.
+// while a run is active: the slots are atomic, so sampling never races
+// with the owner's updates.
 func (x *Exec) Chunks(w int) []int64 {
 	out := make([]int64, len(x.prog.leaves))
 	for i := range out {
-		out[i] = x.pol.Chunk(w, i)
+		out[i] = x.ch.next(w, i)
 	}
 	return out
 }

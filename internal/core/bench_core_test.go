@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"hbc/internal/pulse"
@@ -27,7 +28,7 @@ func benchExec(b *testing.B, opts Options, src pulse.Source, rows int) {
 }
 
 func BenchmarkSpmvDriverNoPolls(b *testing.B) {
-	benchExec(b, Options{DisablePromotion: true, Chunk: ChunkPolicy{Kind: ChunkStatic, Size: 1 << 30}},
+	benchExec(b, Options{DisablePromotion: true, StaticChunk: 1 << 30},
 		pulse.NewNever(), 20000)
 }
 
@@ -51,7 +52,7 @@ func BenchmarkSpmvSerialOracle(b *testing.B) {
 // chunk boundary splits, joins, and merges.
 func BenchmarkPromotion(b *testing.B) {
 	data := make([]int64, 64)
-	p := MustCompile(sumNest("promo"), Options{Chunk: ChunkPolicy{Kind: ChunkStatic, Size: 16}})
+	p := MustCompile(sumNest("promo"), Options{StaticChunk: 16})
 	team := sched.NewTeam(1)
 	defer team.Close()
 	x := NewExec(p, team, pulse.NewAlways(), DefaultHeartbeat, &sumEnv{data: data})
@@ -87,20 +88,17 @@ func BenchmarkRunSeqVsStatic(b *testing.B) {
 	})
 }
 
-// BenchmarkPolicyNextChunk prices one chunk deal per schedule — the
-// per-refill fast path TestPolicyNextChunkAllocFree gates to 0 allocs/op.
+// BenchmarkPolicyNextChunk prices one chunk deal under Adaptive Chunking
+// and under a fixed size — the per-refill fast path
+// TestPolicyNextChunkAllocFree gates to 0 allocs/op.
 func BenchmarkPolicyNextChunk(b *testing.B) {
-	for _, name := range ScheduleNames() {
-		kind, err := ParseChunkKind(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(name, func(b *testing.B) {
-			p := newPolicy(PolicyInfo{Workers: 1, Leaves: 1, Opts: Options{Chunk: ChunkPolicy{Kind: kind}}})
+	for _, size := range []int64{0, 16} {
+		b.Run(fmt.Sprintf("static=%d", size), func(b *testing.B) {
+			c := newChunker(1, 1, Options{StaticChunk: size}.withDefaults())
 			b.ReportAllocs()
 			var total int64
 			for i := 0; i < b.N; i++ {
-				total += p.NextChunk(0, 0, 1<<20)
+				total += c.next(0, 0)
 			}
 			chunkSink = total
 		})

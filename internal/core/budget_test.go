@@ -307,9 +307,9 @@ func TestBudgetEdgesExactlyOnce(t *testing.T) {
 							name := budgetCase(depth, d, mode, pol, chunk, s.name)
 							ok := t.Run(name, func(t *testing.T) {
 								p := MustCompile(budgetNest(depth, d), Options{
-									Mode:   mode,
-									Policy: pol,
-									Chunk:  ChunkPolicy{Kind: ChunkStatic, Size: chunk},
+									Mode:        mode,
+									Policy:      pol,
+									StaticChunk: chunk,
 								})
 								env := newBudgetEnv(10)
 								src := s.mk()
@@ -416,7 +416,7 @@ func checkBudgetOnce(t *testing.T, env, want *budgetEnv, depth int, name string)
 func TestInteriorSliceFailures(t *testing.T) {
 	want := newBudgetEnv(10)
 	MustCompile(budgetNest(3, genericDriver), Options{}).RunSeq(want)
-	p := MustCompile(budgetNest(3, interiorSlices), Options{Chunk: ChunkPolicy{Kind: ChunkStatic, Size: 3}})
+	p := MustCompile(budgetNest(3, interiorSlices), Options{StaticChunk: 3})
 	team := sched.NewTeam(2)
 	defer team.Close()
 	env := newBudgetEnv(10)
@@ -567,8 +567,8 @@ func TestBushyBudgetExactlyOnce(t *testing.T) {
 						}
 						ok := t.Run(name, func(t *testing.T) {
 							p := MustCompile(bushyBudgetNest(d, sparse), Options{
-								Mode:  mode,
-								Chunk: ChunkPolicy{Kind: ChunkStatic, Size: chunk},
+								Mode:        mode,
+								StaticChunk: chunk,
 							})
 							env := newBushyBudgetEnv()
 							src := s.mk()

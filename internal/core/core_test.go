@@ -331,7 +331,7 @@ func TestPromoteEveryPollSum(t *testing.T) {
 		data[i] = int64(3*i - 700)
 		want += data[i]
 	}
-	p := MustCompile(sumNest("sum"), Options{Chunk: ChunkPolicy{Kind: ChunkStatic, Size: 7}})
+	p := MustCompile(sumNest("sum"), Options{StaticChunk: 7})
 	for _, workers := range []int{1, 2, 4} {
 		acc := runWith(t, p, pulse.NewAlways(), workers, &sumEnv{data: data})
 		if got := *acc.(*int64); got != want {
@@ -343,7 +343,7 @@ func TestPromoteEveryPollSum(t *testing.T) {
 func TestPromoteEveryPollSpmv(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		env := newCSR(80)
-		p := MustCompile(csrNest(), Options{Chunk: ChunkPolicy{Kind: ChunkStatic, Size: 3}})
+		p := MustCompile(csrNest(), Options{StaticChunk: 3})
 		runWith(t, p, pulse.NewAlways(), workers, env)
 		int64sEqual(t, env.out, env.serial(), "always-promote spmv")
 		if env.posts.Load() != 80 {
@@ -355,7 +355,7 @@ func TestPromoteEveryPollSpmv(t *testing.T) {
 
 func TestPromoteEveryPollThreeLevels(t *testing.T) {
 	want := threeSerial(9)
-	p := MustCompile(threeNest(), Options{Chunk: ChunkPolicy{Kind: ChunkNone}})
+	p := MustCompile(threeNest(), Options{StaticChunk: 1})
 	for _, workers := range []int{1, 2, 4} {
 		acc := runWith(t, p, pulse.NewAlways(), workers, &threeEnv{n: 9})
 		if got := *acc.(*int64); got != want {
@@ -366,7 +366,7 @@ func TestPromoteEveryPollThreeLevels(t *testing.T) {
 
 func TestPromoteEveryPollSiblings(t *testing.T) {
 	env := &siblingEnv{n: 40, outA: make([]int64, 40), outB: make([]int64, 40)}
-	p := MustCompile(siblingNest(), Options{Chunk: ChunkPolicy{Kind: ChunkNone}})
+	p := MustCompile(siblingNest(), Options{StaticChunk: 1})
 	runWith(t, p, pulse.NewAlways(), 3, env)
 	wa, wb := env.serial()
 	int64sEqual(t, env.outA, wa, "sibling outA")
@@ -376,7 +376,7 @@ func TestPromoteEveryPollSiblings(t *testing.T) {
 func TestDeterministicEveryNPromotions(t *testing.T) {
 	for _, n := range []int64{2, 3, 5, 17} {
 		env := newCSR(70)
-		p := MustCompile(csrNest(), Options{Chunk: ChunkPolicy{Kind: ChunkStatic, Size: 2}})
+		p := MustCompile(csrNest(), Options{StaticChunk: 2})
 		runWith(t, p, pulse.NewEveryN(n), 2, env)
 		int64sEqual(t, env.out, env.serial(), "everyN spmv")
 	}
@@ -387,14 +387,14 @@ func TestDeterministicEveryNPromotions(t *testing.T) {
 func TestTPALModeCorrect(t *testing.T) {
 	env := newCSR(80)
 	p := MustCompile(csrNest(), Options{
-		Mode:  ModeTPAL,
-		Chunk: ChunkPolicy{Kind: ChunkStatic, Size: 4},
+		Mode:        ModeTPAL,
+		StaticChunk: 4,
 	})
 	runWith(t, p, pulse.NewAlways(), 3, env)
 	int64sEqual(t, env.out, env.serial(), "tpal spmv")
 
 	want := threeSerial(8)
-	p2 := MustCompile(threeNest(), Options{Mode: ModeTPAL, Chunk: ChunkPolicy{Kind: ChunkNone}})
+	p2 := MustCompile(threeNest(), Options{Mode: ModeTPAL, StaticChunk: 1})
 	acc := runWith(t, p2, pulse.NewAlways(), 2, &threeEnv{n: 8})
 	if got := *acc.(*int64); got != want {
 		t.Fatalf("tpal three = %d, want %d", got, want)
@@ -407,7 +407,7 @@ func TestDisablePromotionStaysSerial(t *testing.T) {
 	env := newCSR(40)
 	p := MustCompile(csrNest(), Options{
 		DisablePromotion: true,
-		Chunk:            ChunkPolicy{Kind: ChunkStatic, Size: 2},
+		StaticChunk:      2,
 	})
 	team := sched.NewTeam(2)
 	defer team.Close()
@@ -428,7 +428,7 @@ func TestDisablePromotionStaysSerial(t *testing.T) {
 
 func TestPromotionStatsByLevel(t *testing.T) {
 	env := newCSR(200)
-	p := MustCompile(csrNest(), Options{Chunk: ChunkPolicy{Kind: ChunkStatic, Size: 1}})
+	p := MustCompile(csrNest(), Options{StaticChunk: 1})
 	team := sched.NewTeam(2)
 	defer team.Close()
 	x := NewExec(p, team, pulse.NewEveryN(4), DefaultHeartbeat, env)
@@ -486,7 +486,7 @@ func TestChunkSizeTransferring(t *testing.T) {
 	for i := range env.in {
 		env.in[i] = 1
 	}
-	p := MustCompile(csrNest(), Options{Chunk: ChunkPolicy{Kind: ChunkStatic, Size: 7}})
+	p := MustCompile(csrNest(), Options{StaticChunk: 7})
 	src := pulse.NewNever()
 	runWith(t, p, src, 1, env)
 	st := src.Stats()
@@ -500,7 +500,7 @@ func TestChunkSizeTransferring(t *testing.T) {
 // invocation and leaves nothing to promote.
 func TestChunkNonePollsEveryIteration(t *testing.T) {
 	data := make([]int64, 100)
-	p := MustCompile(sumNest("sum"), Options{Chunk: ChunkPolicy{Kind: ChunkNone}})
+	p := MustCompile(sumNest("sum"), Options{StaticChunk: 1})
 	src := pulse.NewNever()
 	runWith(t, p, src, 1, &sumEnv{data: data})
 	if st := src.Stats(); st.Polls != 99 {
@@ -516,7 +516,6 @@ func TestAdaptiveChunkGrowsUnderFrequentPolls(t *testing.T) {
 	// the target of 4 → chunk must grow.
 	data := make([]int64, 200000)
 	p := MustCompile(sumNest("sum"), Options{
-		Chunk:       ChunkPolicy{Kind: ChunkAdaptive},
 		TargetPolls: 4,
 		WindowSize:  2,
 	})
@@ -536,7 +535,6 @@ func TestAdaptiveChunkShrinksWhenBeatsMissed(t *testing.T) {
 	// minimum poll count per interval is 1 < target 4 → chunk shrinks.
 	data := make([]int64, 100000)
 	p := MustCompile(sumNest("sum"), Options{
-		Chunk:       ChunkPolicy{Kind: ChunkAdaptive},
 		TargetPolls: 4,
 		WindowSize:  2,
 	})
@@ -546,7 +544,7 @@ func TestAdaptiveChunkShrinksWhenBeatsMissed(t *testing.T) {
 	x.Start()
 	defer x.Stop()
 	// Seed a large chunk.
-	x.pol.(*adaptivePolicy).slots.store(0, 0, 1024)
+	x.ch.rows[0].c[0].Store(1024)
 	x.Run()
 	if got := x.Chunks(0)[0]; got >= 1024 {
 		t.Fatalf("adaptive chunk = %d, want shrink below 1024", got)

@@ -52,7 +52,7 @@ func newFourEnv(n int64) *fourEnv {
 }
 
 func TestFourLevelNestUnderHeavyPromotion(t *testing.T) {
-	p := MustCompile(fourNest(), Options{Chunk: ChunkPolicy{Kind: ChunkNone}})
+	p := MustCompile(fourNest(), Options{StaticChunk: 1})
 	if p.Depth() != 4 {
 		t.Fatalf("depth = %d, want 4", p.Depth())
 	}
@@ -70,7 +70,7 @@ func TestFourLevelNestUnderHeavyPromotion(t *testing.T) {
 }
 
 func TestFourLevelPromotesAtEveryLevel(t *testing.T) {
-	p := MustCompile(fourNest(), Options{Chunk: ChunkPolicy{Kind: ChunkNone}})
+	p := MustCompile(fourNest(), Options{StaticChunk: 1})
 	env := newFourEnv(8)
 	team := sched.NewTeam(2)
 	defer team.Close()
@@ -192,7 +192,7 @@ func TestBushyTreeExecutionUnderPromotion(t *testing.T) {
 	root := &loopnest.Loop{Name: "r", Bounds: loopnest.RangeN(7),
 		Children: []*loopnest.Loop{midA, midB}}
 	nest := &loopnest.Nest{Name: "bushy-exec", Root: root}
-	p := MustCompile(nest, Options{Chunk: ChunkPolicy{Kind: ChunkNone}})
+	p := MustCompile(nest, Options{StaticChunk: 1})
 
 	want := &bushyEnv{hits: make([]int64, 3000)}
 	p.RunSeq(want)

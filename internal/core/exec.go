@@ -61,12 +61,8 @@ type Exec struct {
 	period time.Duration
 
 	ac []acWorker
-	// pol is the scheduling policy deciding leaf chunk sizes — Adaptive
-	// Chunking by default, or any of the classic schedules / the online
-	// selector (policy.go, selector.go).
-	pol SchedPolicy
-	// obs is pol's run-timing hook (the online selector), nil otherwise.
-	obs     runObserver
+	// ch decides leaf chunk sizes: Adaptive Chunking, or a fixed size.
+	ch      chunker
 	stats   RunStats
 	started bool
 	// lifeMu serializes Start/Stop so concurrent or repeated Close calls
@@ -111,10 +107,7 @@ func NewExec(prog *Program, team *sched.Team, src pulse.Source, period time.Dura
 	for i := range x.ac {
 		x.ac[i].init(x.prog.opts)
 	}
-	x.pol = newPolicy(PolicyInfo{Workers: team.Size(), Leaves: len(prog.leaves), Opts: prog.opts})
-	if obs, ok := x.pol.(runObserver); ok {
-		x.obs = obs
-	}
+	x.ch = newChunker(team.Size(), len(prog.leaves), prog.opts)
 	return x
 }
 
@@ -229,13 +222,6 @@ func (x *Exec) RunCtx(ctx context.Context) (result any, err error) {
 			}
 		}()
 	}
-	// Time the invocation for the policy's run observer (the online
-	// selector). Only successful, uncancelled runs are fed back: a failed
-	// run's wall time says nothing about the schedule in force.
-	var runStart time.Time
-	if x.obs != nil {
-		runStart = time.Now()
-	}
 	err = func() (err error) {
 		defer func() {
 			if v := recover(); v != nil {
@@ -271,9 +257,6 @@ func (x *Exec) RunCtx(ctx context.Context) (result any, err error) {
 		// Cancelled runs complete early with partial coverage; their
 		// reduction result is meaningless, so report the cause instead.
 		return nil, ctl.err()
-	}
-	if x.obs != nil {
-		x.obs.EndRun(time.Since(runStart))
 	}
 	return result, nil
 }
@@ -362,7 +345,9 @@ type sliceRT struct {
 
 func (rt *sliceRT) Budget() *int64 { return &rt.ts.budget[rt.l.spendOrd] }
 
-func (rt *sliceRT) Chunk(remaining int64) int64 { return rt.ts.chunkFor(rt.l.spendOrd, remaining) }
+// Chunk ignores remaining: neither Adaptive Chunking nor a fixed size
+// depends on it.
+func (rt *sliceRT) Chunk(int64) int64 { return rt.ts.x.ch.next(rt.ts.w.ID(), rt.l.spendOrd) }
 
 func (rt *sliceRT) Poll() bool    { return rt.ts.poll(rt.l.spendOrd) }
 func (rt *sliceRT) Aborted() bool { return rt.ts.aborted() }
@@ -836,7 +821,7 @@ func (ts *taskRun) walk(deep, top *cloop, pl int) int {
 // stays at zero when l.deferEnd, and the poll is owed to the enclosing
 // latch, where outer-loop-first promotion can still split the loops above
 // l (the root's owed poll is dropped: the run is over). Otherwise R is
-// refilled from the policy and the heartbeat polled, running the promotion
+// refilled from the chunker and the heartbeat polled, running the promotion
 // handler on a beat. It returns the level of a split ancestor for the
 // driver to unwind to, or noPromo — also after a split of l itself, which
 // leaves l's invocation with no iterations.
@@ -848,7 +833,7 @@ func (ts *taskRun) exhausted(l *cloop) int {
 	}
 	ts.owed = false
 	ord := l.spendOrd
-	ts.budget[ord] = ts.chunkFor(ord, e.hi-e.iv)
+	ts.budget[ord] = ts.x.ch.next(ts.w.ID(), ord)
 	if !ts.poll(ord) {
 		return noPromo
 	}
@@ -858,7 +843,7 @@ func (ts *taskRun) exhausted(l *cloop) int {
 	return noPromo
 }
 
-// poll checks the heartbeat source and feeds the scheduling policy's poll
+// poll checks the heartbeat source and feeds Adaptive Chunking's poll
 // window. ord is the leaf whose budget ran out: every poll spends a full
 // budget, so a completed window measures that leaf's chunk.
 func (ts *taskRun) poll(ord int) bool {
@@ -873,7 +858,7 @@ func (ts *taskRun) poll(ord int) bool {
 	var prev, next int64
 	retuned := false
 	if windowDone {
-		prev, next, retuned = ts.x.pol.OnWindow(w, ord, m)
+		prev, next, retuned = ts.x.ch.retune(w, ord, m)
 	}
 	if tr := ts.x.tr; tr != nil {
 		tr.Emit(w, telemetry.KindBeat, int64(k), int64(ord), 0, 0, 0)
@@ -882,19 +867,6 @@ func (ts *taskRun) poll(ord int) bool {
 		}
 	}
 	return true
-}
-
-// chunkFor returns the next chunk size for a leaf under the compiled
-// policy, given the invocation's remaining iterations.
-func (ts *taskRun) chunkFor(ord int, remaining int64) int64 {
-	return ts.x.chunkFor(ts.w.ID(), ord, remaining)
-}
-
-func (x *Exec) chunkFor(worker, ord int, remaining int64) int64 {
-	if c := x.pol.NextChunk(worker, ord, remaining); c > 0 {
-		return c
-	}
-	return 1
 }
 
 // seqState is the per-strand state of the sequential driver, used by the

@@ -17,8 +17,8 @@ func TestPoliciesAllCorrect(t *testing.T) {
 		t.Run(pol.String(), func(t *testing.T) {
 			env := newCSR(90)
 			p := MustCompile(csrNest(), Options{
-				Policy: pol,
-				Chunk:  ChunkPolicy{Kind: ChunkStatic, Size: 2},
+				Policy:      pol,
+				StaticChunk: 2,
 			})
 			runWith(t, p, pulse.NewEveryN(3), 3, env)
 			int64sEqual(t, env.out, env.serial(), "policy "+pol.String())
@@ -30,8 +30,8 @@ func TestPolicyLevelDistributions(t *testing.T) {
 	run := func(pol Policy) []int64 {
 		env := newCSR(400)
 		p := MustCompile(csrNest(), Options{
-			Policy: pol,
-			Chunk:  ChunkPolicy{Kind: ChunkStatic, Size: 1},
+			Policy:      pol,
+			StaticChunk: 1,
 		})
 		team := sched.NewTeam(2)
 		defer team.Close()
@@ -156,7 +156,7 @@ func TestPanicInPromotedTaskSurfaces(t *testing.T) {
 			panic("late failure")
 		}
 	}
-	p := MustCompile(nest, Options{Chunk: ChunkPolicy{Kind: ChunkStatic, Size: 16}})
+	p := MustCompile(nest, Options{StaticChunk: 16})
 	team := sched.NewTeam(2)
 	defer team.Close()
 	x := NewExec(p, team, pulse.NewAlways(), DefaultHeartbeat, &sumEnv{data: make([]int64, 1000)})

@@ -39,11 +39,11 @@ func faultNest(covered *atomic.Int64, trap *[2]int64) *loopnest.Nest {
 
 // oneShotExec compiles nest for a 1-worker team polling a Manual source with
 // exactly one pending beat: one promotion happens at the first safepoint
-// (after iteration (0,0) under ChunkNone), and none after. The caller owns
+// (after iteration (0,0) under StaticChunk 1), and none after. The caller owns
 // team.Close.
 func oneShotExec(t *testing.T, nest *loopnest.Nest) (*Exec, *sched.Team) {
 	t.Helper()
-	p, err := Compile(nest, Options{Chunk: ChunkPolicy{Kind: ChunkNone}})
+	p, err := Compile(nest, Options{StaticChunk: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestExecReusableAfterPanic(t *testing.T) {
 			},
 		},
 	}
-	p, err := Compile(nest, Options{Chunk: ChunkPolicy{Kind: ChunkStatic, Size: 4}})
+	p, err := Compile(nest, Options{StaticChunk: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func slowNest(covered *atomic.Int64, started chan<- struct{}) *loopnest.Nest {
 func TestRunCtxCancelStopsMidRun(t *testing.T) {
 	var covered atomic.Int64
 	started := make(chan struct{})
-	p := MustCompile(slowNest(&covered, started), Options{Chunk: ChunkPolicy{Kind: ChunkNone}})
+	p := MustCompile(slowNest(&covered, started), Options{StaticChunk: 1})
 	team := sched.NewTeam(2)
 	defer team.Close()
 	src := pulse.NewTimer()
@@ -259,7 +259,7 @@ func TestRunCtxCancelStopsMidRun(t *testing.T) {
 
 func TestRunCtxDeadline(t *testing.T) {
 	var covered atomic.Int64
-	p := MustCompile(slowNest(&covered, nil), Options{Chunk: ChunkPolicy{Kind: ChunkNone}})
+	p := MustCompile(slowNest(&covered, nil), Options{StaticChunk: 1})
 	team := sched.NewTeam(2)
 	defer team.Close()
 	src := pulse.NewTimer()

@@ -13,7 +13,6 @@ import (
 func TestInitialChunkSeedsAdaptiveState(t *testing.T) {
 	data := make([]int64, 1000)
 	p := MustCompile(sumNest("sum"), Options{
-		Chunk:        ChunkPolicy{Kind: ChunkAdaptive},
 		InitialChunk: 64,
 	})
 	team := sched.NewTeam(2)

@@ -19,7 +19,6 @@ import (
 func TestChunksSampledDuringRun(t *testing.T) {
 	data := make([]int64, 2_000_000)
 	p := MustCompile(sumNest("sum"), Options{
-		Chunk:       ChunkPolicy{Kind: ChunkAdaptive},
 		TargetPolls: 4,
 		WindowSize:  2, // short window: rescales happen constantly
 	})
@@ -115,20 +114,20 @@ func TestRescaleChunkOverflow(t *testing.T) {
 }
 
 // TestOnHeartbeatOverflowKeepsMax drives the overflow through the window
-// machinery and the adaptive policy's OnWindow: a huge seeded chunk and a
+// machinery and the chunker's retune: a huge seeded chunk and a
 // poll-dense window must pin the chunk at MaxChunk, not collapse it to 1.
 func TestOnHeartbeatOverflowKeepsMax(t *testing.T) {
-	opts := (Options{Chunk: ChunkPolicy{Kind: ChunkAdaptive}, TargetPolls: 4, WindowSize: 1}).withDefaults()
+	opts := (Options{TargetPolls: 4, WindowSize: 1}).withDefaults()
 	var a acWorker
 	a.init(opts)
-	pol := newPolicy(PolicyInfo{Workers: 1, Leaves: 1, Opts: opts}).(*adaptivePolicy)
-	pol.slots.store(0, 0, math.MaxInt64/2)
+	c := newChunker(1, 1, opts)
+	c.rows[0].c[0].Store(math.MaxInt64 / 2)
 	a.polls = 1 << 32 // poll count large enough to overflow the product
 	m, done := a.onHeartbeat()
 	if !done {
 		t.Fatalf("onHeartbeat = (m=%d, done=%v), want a completed window", m, done)
 	}
-	prev, next, retuned := pol.OnWindow(0, 0, m)
+	prev, next, retuned := c.retune(0, 0, m)
 	if !retuned {
 		t.Fatal("expected a rescale at window end")
 	}
@@ -138,7 +137,7 @@ func TestOnHeartbeatOverflowKeepsMax(t *testing.T) {
 	if next != opts.MaxChunk {
 		t.Fatalf("chunk after overflow rescale = %d, want MaxChunk %d", next, opts.MaxChunk)
 	}
-	if got := pol.Chunk(0, 0); got != opts.MaxChunk {
+	if got := c.next(0, 0); got != opts.MaxChunk {
 		t.Fatalf("stored chunk = %d, want MaxChunk %d", got, opts.MaxChunk)
 	}
 }
@@ -149,7 +148,6 @@ func TestOnHeartbeatOverflowKeepsMax(t *testing.T) {
 func TestTracerRecordsRuntimeEvents(t *testing.T) {
 	data := make([]int64, 500_000)
 	p := MustCompile(sumNest("sum"), Options{
-		Chunk:       ChunkPolicy{Kind: ChunkAdaptive},
 		TargetPolls: 4,
 		WindowSize:  2,
 	})
@@ -180,7 +178,7 @@ func TestTracerRecordsRuntimeEvents(t *testing.T) {
 // exactly once, and retunes carry a row inside the root loop's bounds.
 func TestPromotionEventsRecorded(t *testing.T) {
 	env := newCSR(200)
-	p := MustCompile(csrNest(), Options{Chunk: ChunkPolicy{Kind: ChunkAdaptive}, WindowSize: 2})
+	p := MustCompile(csrNest(), Options{WindowSize: 2})
 	team := sched.NewTeam(2)
 	defer team.Close()
 	tr := telemetry.NewTracer(team.Size(), 1<<16)

@@ -89,16 +89,14 @@ func TestQuickRandomNestsMatchOracle(t *testing.T) {
 		mask := reduceMask & ((1 << depth) - 1)
 
 		nest := buildPropNest(depth, mask)
-		var chunk ChunkPolicy
+		var chunk int64 // Adaptive Chunking
 		switch chunkSel % 3 {
-		case 0:
-			chunk = ChunkPolicy{Kind: ChunkAdaptive}
 		case 1:
-			chunk = ChunkPolicy{Kind: ChunkStatic, Size: int64(chunkSel%5) + 1}
-		default:
-			chunk = ChunkPolicy{Kind: ChunkNone}
+			chunk = int64(chunkSel%5) + 1
+		case 2:
+			chunk = 1
 		}
-		p, err := Compile(nest, Options{Chunk: chunk})
+		p, err := Compile(nest, Options{StaticChunk: chunk})
 		if err != nil {
 			return false
 		}
@@ -153,7 +151,7 @@ func TestQuickTPALMatchesOracle(t *testing.T) {
 			dims[i] = int64(rng.Intn(7)) + 1
 		}
 		nest := buildPropNest(depth, reduceMask&7)
-		p, err := Compile(nest, Options{Mode: ModeTPAL, Chunk: ChunkPolicy{Kind: ChunkNone}})
+		p, err := Compile(nest, Options{Mode: ModeTPAL, StaticChunk: 1})
 		if err != nil {
 			return false
 		}
@@ -196,7 +194,7 @@ func TestQuickBodyCoverage(t *testing.T) {
 		for i := range data {
 			data[i] = 1
 		}
-		p, err := Compile(sumNest("coverage"), Options{Chunk: ChunkPolicy{Kind: ChunkStatic, Size: 3}})
+		p, err := Compile(sumNest("coverage"), Options{StaticChunk: 3})
 		if err != nil {
 			return false
 		}

@@ -121,7 +121,7 @@ func TestSliceEntryPromotes(t *testing.T) {
 	const rows = 4000
 	var calls atomic.Int64
 	e := newSliceTestEnv(rows)
-	p, err := Compile(sliceTestNest(true, &calls), Options{Chunk: ChunkPolicy{Kind: ChunkNone}})
+	p, err := Compile(sliceTestNest(true, &calls), Options{StaticChunk: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

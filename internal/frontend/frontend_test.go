@@ -26,7 +26,7 @@ func compileSrc(t *testing.T, src string) *Compiled {
 // runHeartbeat executes a compiled kernel under aggressive promotion.
 func runHeartbeat(t *testing.T, c *Compiled, workers int) {
 	t.Helper()
-	p, err := core.Compile(c.Nest, core.Options{Chunk: core.ChunkPolicy{Kind: core.ChunkStatic, Size: 3}})
+	p, err := core.Compile(c.Nest, core.Options{StaticChunk: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

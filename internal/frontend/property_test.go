@@ -82,7 +82,7 @@ parallel for i = 0 .. n {
 			t.Logf("compile %q: %v", exprSrc, err)
 			return false
 		}
-		p, err := core.Compile(c.Nest, core.Options{Chunk: core.ChunkPolicy{Kind: core.ChunkNone}})
+		p, err := core.Compile(c.Nest, core.Options{StaticChunk: 1})
 		if err != nil {
 			return false
 		}

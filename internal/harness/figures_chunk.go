@@ -54,9 +54,7 @@ func fig10(cfg Config) (*stats.Table, error) {
 		}
 		for _, c := range chunks {
 			cfg.logf("fig10: high=%v chunk=%d\n", high, c)
-			d, err := measureHBC(cfg, w, pulse.NewTimer(), core.Options{
-				Chunk: core.ChunkPolicy{Kind: core.ChunkStatic, Size: c},
-			})
+			d, err := measureHBC(cfg, w, pulse.NewTimer(), core.Options{StaticChunk: c})
 			if err != nil {
 				return nil, err
 			}
@@ -105,7 +103,7 @@ func fig11(cfg Config) (*stats.Table, error) {
 	}
 	for _, c := range []int64{1, 2, 8, 32, 128, 512} {
 		cfg.logf("fig11: static %d\n", c)
-		d, err := measure(core.Options{Chunk: core.ChunkPolicy{Kind: core.ChunkStatic, Size: c}})
+		d, err := measure(core.Options{StaticChunk: c})
 		if err != nil {
 			return nil, err
 		}

@@ -33,7 +33,6 @@ func fig7(cfg Config) (*stats.Table, error) {
 		"benchmark", "machinery%", "+chunking%", "+polling%", "adaptive%")
 	one := cfg
 	one.Workers = 1 // sequential: the overhead experiment's configuration
-	staticChunk := core.ChunkPolicy{Kind: core.ChunkStatic, Size: 32}
 	for _, name := range workloads.TPALSet() {
 		cfg.logf("fig7: %s\n", name)
 		w, err := prepared(cfg, name)
@@ -48,10 +47,9 @@ func fig7(cfg Config) (*stats.Table, error) {
 			src  pulse.Source
 			opts core.Options
 		}{
-			{pulse.NewNever(), core.Options{DisablePromotion: true,
-				Chunk: core.ChunkPolicy{Kind: core.ChunkStatic, Size: 1 << 30}}},
-			{pulse.NewNever(), core.Options{DisablePromotion: true, Chunk: staticChunk}},
-			{pulse.NewTimer(), core.Options{DisablePromotion: true, Chunk: staticChunk}},
+			{pulse.NewNever(), core.Options{DisablePromotion: true, StaticChunk: 1 << 30}},
+			{pulse.NewNever(), core.Options{DisablePromotion: true, StaticChunk: 32}},
+			{pulse.NewTimer(), core.Options{DisablePromotion: true, StaticChunk: 32}},
 			{pulse.NewTimer(), core.Options{DisablePromotion: true}},
 		}
 		row := []any{name}
@@ -87,14 +85,14 @@ func fig8(cfg Config) (*stats.Table, error) {
 		}
 		none, err := measureHBC(one, w, pulse.NewTimer(), core.Options{
 			DisablePromotion: true,
-			Chunk:            core.ChunkPolicy{Kind: core.ChunkNone},
+			StaticChunk:      1,
 		})
 		if err != nil {
 			return nil, err
 		}
 		static, err := measureHBC(one, w, pulse.NewTimer(), core.Options{
 			DisablePromotion: true,
-			Chunk:            core.ChunkPolicy{Kind: core.ChunkStatic, Size: 32},
+			StaticChunk:      32,
 		})
 		if err != nil {
 			return nil, err

@@ -110,8 +110,8 @@ func fig6(cfg Config) (*stats.Table, error) {
 		// TPAL: per-benchmark hand-tuned static chunks; 32 is the order of
 		// magnitude the prior work settles on for these kernels.
 		tpalT, err := measureHBC(cfg, w, pulse.NewTimer(), core.Options{
-			Mode:  core.ModeTPAL,
-			Chunk: core.ChunkPolicy{Kind: core.ChunkStatic, Size: 32},
+			Mode:        core.ModeTPAL,
+			StaticChunk: 32,
 		})
 		if err != nil {
 			return nil, err

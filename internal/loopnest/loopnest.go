@@ -63,8 +63,11 @@ type SliceRT interface {
 	// paper §3.2). R <= 0 means a chunk must be drawn before spending; R
 	// is zero only when a chunk ran out whose poll is still to be taken.
 	Budget() *int64
-	// Chunk returns the next chunk size for R, given the iterations left
-	// in the slice's invocation after the current one (hi - iv).
+	// Chunk returns the next chunk size for R. Slices pass the iterations
+	// left in their invocation after the current one (hi - iv); the
+	// runtime ignores it today, since Adaptive Chunking and a fixed size
+	// depend only on the worker and leaf. The parameter is kept so that
+	// emitted kernel packages (gen/kernels) stay byte-identical.
 	Chunk(remaining int64) int64
 	// Poll checks the heartbeat source at a promotion-ready point. A true
 	// return means a heartbeat arrived: the slice must return its next

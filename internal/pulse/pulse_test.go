@@ -67,6 +67,22 @@ func TestTimerCountsMissedBeats(t *testing.T) {
 	}
 }
 
+// TestTimerDetachFreezesStats checks Source.Detach's contract on Timer:
+// once detached, Stats stops moving — Generated included, though the clock
+// keeps running.
+func TestTimerDetachFreezesStats(t *testing.T) {
+	const period = time.Millisecond
+	tm := NewTimer()
+	tm.Attach(2, period)
+	pollUntil(t, tm, 0, 50*period)
+	tm.Detach()
+	before := tm.Stats()
+	time.Sleep(3 * period)
+	if after := tm.Stats(); after != before {
+		t.Fatalf("Stats moved after Detach: %+v, then %+v", before, after)
+	}
+}
+
 func TestTimerPerWorkerIndependent(t *testing.T) {
 	s := NewTimer()
 	s.Attach(2, time.Millisecond)

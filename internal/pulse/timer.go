@@ -13,10 +13,12 @@ import (
 // mechanism needs no OS or scheduler support — the property the paper
 // credits for software polling's portability.
 type Timer struct {
-	period   int64 // ns
-	start    time.Time
-	slots    []workerSlot
-	attached atomic.Bool
+	period int64 // ns
+	start  time.Time
+	slots  []workerSlot
+	// frozen is the elapsed time at Detach, which Stats reads in place of
+	// the clock once detached; 0 while attached.
+	frozen atomic.Int64
 }
 
 // NewTimer returns an unattached Timer source.
@@ -33,7 +35,7 @@ func (t *Timer) Attach(workers int, period time.Duration) {
 	for i := range t.slots {
 		t.slots[i].deadline = t.period
 	}
-	t.attached.Store(true)
+	t.frozen.Store(0)
 }
 
 // Poll implements Source. Each worker runs on its own beat timeline anchored
@@ -53,13 +55,16 @@ func (t *Timer) Poll(w int) int {
 	return int(k)
 }
 
-// Detach implements Source.
-func (t *Timer) Detach() { t.attached.Store(false) }
+// Detach implements Source. It freezes Generated at the beats due so far.
+func (t *Timer) Detach() { t.frozen.Store(max(int64(time.Since(t.start)), 1)) }
 
 // Stats implements Source. Generated counts the ideal per-worker beat
-// timelines up to now.
+// timelines up to now, or up to Detach once detached.
 func (t *Timer) Stats() Stats {
-	elapsed := int64(time.Since(t.start))
+	elapsed := t.frozen.Load()
+	if elapsed == 0 {
+		elapsed = int64(time.Since(t.start))
+	}
 	perWorker := elapsed / t.period
 	return aggregate(t.slots, perWorker*int64(len(t.slots)))
 }

@@ -8,7 +8,6 @@ package serve
 
 import (
 	"context"
-	"fmt"
 
 	"hbc"
 	"hbc/gen"
@@ -20,7 +19,6 @@ import (
 type kernelRunnable struct {
 	r         *hbc.Runner
 	env       gen.Env
-	sched     string
 	generated bool
 }
 
@@ -31,16 +29,13 @@ func (k *kernelRunnable) RunCtx(ctx context.Context) (any, error) {
 
 func (k *kernelRunnable) Close() { k.r.Close() }
 
-func (k *kernelRunnable) Schedule() string { return k.sched }
-
 // KernelFile returns a BuildFunc that parses, vets, and compiles the .hbk
 // kernel file independently on each shard — each shard materializes its own
 // data environment, so shards share no mutable kernel state. The fact
 // engine runs once per shard too; its facts feed the runtime's initial
-// chunk hint. Options (WithTunedPolicies) can overlay a persisted
-// scheduling choice onto the compile config.
-func KernelFile(path string, opts ...KernelOption) BuildFunc {
-	return buildKernel(path, kernelfile.Options{}, opts)
+// chunk hint.
+func KernelFile(path string) BuildFunc {
+	return buildKernel(path, kernelfile.Options{})
 }
 
 // KernelAuto returns a BuildFunc that serves the kernel through its
@@ -50,28 +45,20 @@ func KernelFile(path string, opts ...KernelOption) BuildFunc {
 // falls back rather than erroring, so editing a kernel never breaks
 // serving; re-emit to regain the specialized path. The generated path's
 // facts are the ones baked into the artifact at emit time.
-func KernelAuto(path string, opts ...KernelOption) BuildFunc {
-	return buildKernel(path, kernelfile.Options{Generated: true}, opts)
+func KernelAuto(path string) BuildFunc {
+	return buildKernel(path, kernelfile.Options{Generated: true})
 }
 
-func buildKernel(path string, lo kernelfile.Options, opts []KernelOption) BuildFunc {
-	ko := buildKernelOpts(opts)
+func buildKernel(path string, lo kernelfile.Options) BuildFunc {
 	return func(_ int, team *hbc.Team) (Runnable, error) {
 		k, err := kernelfile.Load(path, lo)
 		if err != nil {
 			return nil, err
 		}
-		cfg := hbc.Config{Facts: k.Facts}
-		if c, ok := ko.tuned.Get(k.Kernel.Name); ok {
-			if cfg, err = c.Apply(cfg); err != nil {
-				return nil, fmt.Errorf("serve: tuned policy for %q: %w", k.Kernel.Name, err)
-			}
-		}
-		prog, err := hbc.Compile(k.Nest, cfg)
+		prog, err := hbc.Compile(k.Nest, hbc.Config{Facts: k.Facts})
 		if err != nil {
 			return nil, err
 		}
-		return &kernelRunnable{r: team.Load(prog, k.Env), env: k.Env,
-			sched: prog.Schedule(), generated: k.Generated}, nil
+		return &kernelRunnable{r: team.Load(prog, k.Env), env: k.Env, generated: k.Generated}, nil
 	}
 }

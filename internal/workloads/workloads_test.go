@@ -154,7 +154,7 @@ func TestHBCPromoteAggressivelyMatchesOracle(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			runHBC(t, name, 3, pulse.NewEveryN(3),
-				core.Options{Chunk: core.ChunkPolicy{Kind: core.ChunkStatic, Size: 4}})
+				core.Options{StaticChunk: 4})
 		})
 	}
 }
@@ -173,8 +173,8 @@ func TestHBCTPALModeMatchesOracle(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			runHBC(t, name, 2, pulse.NewEveryN(5), core.Options{
-				Mode:  core.ModeTPAL,
-				Chunk: core.ChunkPolicy{Kind: core.ChunkStatic, Size: 8},
+				Mode:        core.ModeTPAL,
+				StaticChunk: 8,
 			})
 		})
 	}
@@ -212,7 +212,7 @@ func TestDriverStatsAggregation(t *testing.T) {
 	team := sched.NewTeam(2)
 	defer team.Close()
 	d := NewDriver(team, pulse.NewEveryN(4), core.DefaultHeartbeat,
-		core.Options{Chunk: core.ChunkPolicy{Kind: core.ChunkStatic, Size: 2}})
+		core.Options{StaticChunk: 2})
 	defer d.Close()
 	if err := w.BindHBC(d); err != nil {
 		t.Fatal(err)

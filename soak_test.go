@@ -29,7 +29,7 @@ func TestSoakRandomizedNests(t *testing.T) {
 		case 0:
 			cfg.StaticChunk = int64(rng.Intn(30) + 1)
 		case 1:
-			cfg.Sched = "none"
+			cfg.StaticChunk = 1
 		case 2:
 			cfg.TPAL = true
 			cfg.StaticChunk = 8
