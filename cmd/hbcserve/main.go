@@ -66,7 +66,6 @@ func main() {
 		kernelDir = flag.String("kernels", "kernels", "directory of .hbk kernels to load")
 		shards    = flag.Int("shards", 2, "team shards (also the in-flight limit)")
 		workers   = flag.Int("workers", 0, "workers per shard (0 = NumCPU/shards)")
-		topoSpec  = flag.String("topology", "", "pool worker-group hierarchy for topology-aware shard placement (e.g. 2x4; empty = flat)")
 		queue     = flag.Int("queue", 16, "admission queue depth")
 		defDL     = flag.Duration("default-deadline", time.Second, "deadline for requests that specify none")
 		maxDL     = flag.Duration("max-deadline", 30*time.Second, "upper clamp on requested deadlines")
@@ -101,29 +100,9 @@ func main() {
 		emit("leaked_goroutines", float64(leaked))
 	})
 
-	topo, err := hbc.ParseTopology(*topoSpec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hbcserve:", err)
-		os.Exit(2)
-	}
-	nshards := *shards
-	if topo.Groups() > 1 {
-		// With a topology given, one shard per leaf group is the placement
-		// that keeps tenants inside a group; an explicit -shards still wins.
-		explicit := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "shards" {
-				explicit = true
-			}
-		})
-		if !explicit {
-			nshards = 0
-		}
-	}
 	pool := serve.NewPool(serve.Config{
-		Shards:          nshards,
+		Shards:          *shards,
 		WorkersPerShard: *workers,
-		Topology:        topo,
 		QueueDepth:      *queue,
 		DefaultDeadline: *defDL,
 		MaxDeadline:     *maxDL,

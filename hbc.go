@@ -98,42 +98,11 @@ type (
 	SliceRT = loopnest.SliceRT
 )
 
-// Topology describes a hierarchy of worker groups for topology-aware
-// stealing: workers prefer victims in their own leaf group and widen the
-// search outward only after the near tiers come up empty. The zero value is
-// the flat topology (classic single-tier random-victim stealing). Construct
-// one with ParseTopology ("2x4", "2x2x2"), DetectTopology (GOMAXPROCS
-// grouped by a fan-out), or leave it unset and let the HBC_TOPOLOGY
-// environment variable select one (EnvTopology).
-type Topology = sched.Topology
-
-// ParseTopology parses a topology spec: "" or "flat" for the flat topology,
-// otherwise "AxBx..." fan-outs outermost first ("2x4", "2x2x2").
-var ParseTopology = sched.ParseTopology
-
-// MustParseTopology is ParseTopology panicking on error, for specs known at
-// compile time.
-var MustParseTopology = sched.MustParseTopology
-
-// DetectTopology approximates the host hierarchy for n workers by grouping
-// them with the given fan-out (workers per group) — the hwloc-less
-// heuristic of hierarchical OpenMP runtimes.
-var DetectTopology = sched.DetectTopology
-
-// EnvTopology is the environment variable consulted when a team is created
-// without an explicit WithTopology; see sched.EnvTopology.
-const EnvTopology = sched.EnvTopology
-
 // Team is a pool of workers executing heartbeat-scheduled loop nests.
 type Team struct {
 	ws        *sched.Team
 	nworkers  int
 	heartbeat time.Duration
-	// topo is the explicit worker-group hierarchy (WithTopology); topoSet
-	// distinguishes an explicit flat topology from "unset, consult
-	// HBC_TOPOLOGY".
-	topo    Topology
-	topoSet bool
 	// tel is the unified telemetry layer, nil unless WithTelemetry.
 	tel *telemetry.Telemetry
 	// telRing is the requested per-worker ring capacity; telOn records that
@@ -160,22 +129,6 @@ func Workers(n int) Option { return func(t *Team) { t.nworkers = n } }
 
 // Heartbeat sets the heartbeat period. Defaults to 100µs, the paper's rate.
 func Heartbeat(d time.Duration) Option { return func(t *Team) { t.heartbeat = d } }
-
-// WithTopology groups the team's workers into the given hierarchy for
-// topology-aware stealing: victims are tried nearest-first (own leaf group,
-// then sibling groups, then the rest of the team), cross-group submissions
-// go through per-group inboxes, and Runner.Pin can anchor a nest to a
-// group. The topology is fitted to the worker count (Topology.Fit), so a
-// "2x4" spec on a 6-worker team becomes "2x3". Passing the zero Topology
-// explicitly selects flat stealing and suppresses the HBC_TOPOLOGY
-// environment override, which otherwise applies to teams created without
-// this option.
-func WithTopology(topo Topology) Option {
-	return func(t *Team) {
-		t.topo = topo
-		t.topoSet = true
-	}
-}
 
 // WithTelemetry enables the unified telemetry layer (internal/telemetry):
 // a per-worker ring-buffer tracer recording promotions, steals, parks and
@@ -234,9 +187,6 @@ func NewTeam(opts ...Option) *Team {
 		t.nworkers = 1
 	}
 	var sopts []sched.TeamOption
-	if t.topoSet {
-		sopts = append(sopts, sched.WithTopology(t.topo))
-	}
 	if t.telOn {
 		t.tel = telemetry.New(t.nworkers, t.telRing)
 		if t.sharedReg != nil {
@@ -252,8 +202,6 @@ func NewTeam(opts ...Option) *Team {
 			emit("spawned_total", float64(c.Spawned))
 			emit("executed_total", float64(c.Executed))
 			emit("steals_total", float64(c.Steals))
-			emit("steals_local_total", float64(c.StealsLocal()))
-			emit("steals_remote_total", float64(c.StealsRemote))
 			emit("steal_search_ns_total", float64(c.StealNanos))
 			emit("parks_total", float64(c.Parks))
 			emit("wakes_total", float64(c.Wakes))
@@ -286,14 +234,6 @@ func (t *Team) Telemetry() *telemetry.Telemetry { return t.tel }
 // Size returns the number of workers.
 func (t *Team) Size() int { return t.ws.Size() }
 
-// Topology returns the worker-group hierarchy in force, fitted to the team's
-// worker count (the zero Topology when the team steals flat).
-func (t *Team) Topology() Topology { return t.ws.Topology() }
-
-// Groups returns the number of leaf groups of the team's topology (1 when
-// flat). Valid group arguments to Runner.Pin are 0..Groups()-1.
-func (t *Team) Groups() int { return t.ws.Groups() }
-
 // Name returns the team's name ("" unless WithName).
 func (t *Team) Name() string { return t.name }
 
@@ -318,11 +258,9 @@ type SchedStats struct {
 	// Spawned counts tasks pushed (promotion forks plus root submissions);
 	// Executed counts tasks run to completion.
 	Spawned, Executed int64
-	// Steals counts tasks taken from another worker's deque; StealsRemote
-	// counts the subset that crossed a leaf-group boundary of the team's
-	// topology (0 on a flat team); StealNanos is the total time those
-	// successful steals spent searching for a victim.
-	Steals, StealsRemote, StealNanos int64
+	// Steals counts tasks taken from another worker's deque; StealNanos is
+	// the total time those successful steals spent searching for a victim.
+	Steals, StealNanos int64
 	// Parks counts workers giving up spinning to block; Wakes counts parks
 	// ended by an explicit wake signal from a spawner.
 	Parks, Wakes int64
@@ -331,10 +269,6 @@ type SchedStats struct {
 	TaskPoolHits, TaskPoolMisses   int64
 	LatchPoolHits, LatchPoolMisses int64
 }
-
-// StealsLocal returns the number of steals that stayed within the thief's
-// leaf group (equal to Steals on a flat team).
-func (s SchedStats) StealsLocal() int64 { return s.Steals - s.StealsRemote }
 
 // AvgStealLatency returns the mean time a successful steal spent searching.
 func (s SchedStats) AvgStealLatency() time.Duration {
@@ -349,7 +283,6 @@ func (s SchedStats) Sub(o SchedStats) SchedStats {
 	s.Spawned -= o.Spawned
 	s.Executed -= o.Executed
 	s.Steals -= o.Steals
-	s.StealsRemote -= o.StealsRemote
 	s.StealNanos -= o.StealNanos
 	s.Parks -= o.Parks
 	s.Wakes -= o.Wakes
@@ -368,7 +301,6 @@ func (t *Team) SchedStats() SchedStats {
 		Spawned:         c.Spawned,
 		Executed:        c.Executed,
 		Steals:          c.Steals,
-		StealsRemote:    c.StealsRemote,
 		StealNanos:      c.StealNanos,
 		Parks:           c.Parks,
 		Wakes:           c.Wakes,
@@ -561,17 +493,6 @@ func (t *Team) registerRunner(p *Program, x *core.Exec) {
 // Telemetry returns the telemetry layer of the team this runner was loaded
 // on, or nil unless the team was created with WithTelemetry.
 func (r *Runner) Telemetry() *telemetry.Telemetry { return r.tel }
-
-// Pin anchors this runner's subsequent runs to one leaf group of the team's
-// topology: the root task is submitted to that group's inbox, so the nest
-// starts there and spreads further only when the widening steal search pulls
-// work outward. Valid groups are 0..Team.Groups()-1; out-of-range values
-// make the next run return an error. Pin(-1) restores unpinned submission.
-// On a flat team Pin(0) is equivalent to not pinning.
-func (r *Runner) Pin(group int) { r.x.Pin(group) }
-
-// PinnedGroup returns the group this runner is pinned to, or -1 if unpinned.
-func (r *Runner) PinnedGroup() int { return r.x.PinnedGroup() }
 
 // Run executes one invocation of the nest, blocking until every iteration
 // completed, and returns the root reduction accumulator (nil if none).

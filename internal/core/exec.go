@@ -75,10 +75,6 @@ type Exec struct {
 	// one Run at a time; tasks spawned during the run read it through their
 	// taskRun.
 	ctl *runCtl
-	// pin, when >= 0, is the topology group the root task of every run is
-	// submitted to (Team.RunOn instead of Team.Run), keeping a nest's working
-	// set inside one leaf group until stealing widens it. -1 means unpinned.
-	pin int
 
 	// tr is the telemetry tracer, nil unless attached via SetTracer; the
 	// disabled path is one pointer test at each already-rare event site.
@@ -101,7 +97,7 @@ func NewExec(prog *Program, team *sched.Team, src pulse.Source, period time.Dura
 	if period <= 0 {
 		period = DefaultHeartbeat
 	}
-	x := &Exec{prog: prog, team: team, src: src, env: env, period: period, manage: true, pin: -1}
+	x := &Exec{prog: prog, team: team, src: src, env: env, period: period, manage: true}
 	x.stats.PromotionsByLevel = make([]int64, prog.depth)
 	x.ac = make([]acWorker, team.Size())
 	for i := range x.ac {
@@ -129,15 +125,6 @@ func (x *Exec) Env() any { return x.env }
 // promotions, and Adaptive Chunking retunes on the workers' lanes. Must be
 // called before the first Run; a nil tracer leaves tracing disabled.
 func (x *Exec) SetTracer(tr *telemetry.Tracer) { x.tr = tr }
-
-// Pin routes the root task of subsequent runs to the given topology group
-// (sched.Team.RunOn): the nest starts inside that group and only leaves it
-// when the widening steal search promotes work outward. Out-of-range groups
-// are rejected by the team at Run time. Pin(-1) restores unpinned submission.
-func (x *Exec) Pin(group int) { x.pin = group }
-
-// PinnedGroup returns the group runs are pinned to, or -1 when unpinned.
-func (x *Exec) PinnedGroup() int { return x.pin }
 
 // Start attaches the heartbeat source. Must precede the first Run. A no-op
 // for shared-source Execs and when already started; idempotent.
@@ -234,7 +221,7 @@ func (x *Exec) RunCtx(ctx context.Context) (result any, err error) {
 				err = pe
 			}
 		}()
-		rootFn := func(w *sched.Worker) {
+		return x.team.Run(func(w *sched.Worker) {
 			ts := newTaskRun(x, w)
 			ts.guarded(func() {
 				root := x.prog.loops[0]
@@ -244,11 +231,7 @@ func (x *Exec) RunCtx(ctx context.Context) (result any, err error) {
 				}
 				result = ts.chain[0].acc
 			})
-		}
-		if x.pin >= 0 {
-			return x.team.RunOn(x.pin, rootFn)
-		}
-		return x.team.Run(rootFn)
+		})
 	}()
 	if err != nil {
 		return nil, err

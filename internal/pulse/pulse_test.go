@@ -69,10 +69,13 @@ func TestTimerCountsMissedBeats(t *testing.T) {
 
 // TestTimerDetachFreezesStats checks Source.Detach's contract on Timer:
 // once detached, Stats stops moving — Generated included, though the clock
-// keeps running.
+// keeps running. Before the first Attach, Stats is zero.
 func TestTimerDetachFreezesStats(t *testing.T) {
 	const period = time.Millisecond
 	tm := NewTimer()
+	if s := tm.Stats(); s != (Stats{}) {
+		t.Fatalf("Stats before Attach = %+v, want zero", s)
+	}
 	tm.Attach(2, period)
 	pollUntil(t, tm, 0, 50*period)
 	tm.Detach()

@@ -59,8 +59,12 @@ func (t *Timer) Poll(w int) int {
 func (t *Timer) Detach() { t.frozen.Store(max(int64(time.Since(t.start)), 1)) }
 
 // Stats implements Source. Generated counts the ideal per-worker beat
-// timelines up to now, or up to Detach once detached.
+// timelines up to now, or up to Detach once detached; before the first
+// Attach there is no timeline and Stats is zero.
 func (t *Timer) Stats() Stats {
+	if t.period == 0 {
+		return Stats{}
+	}
 	elapsed := t.frozen.Load()
 	if elapsed == 0 {
 		elapsed = int64(time.Since(t.start))

@@ -129,40 +129,17 @@ func BenchmarkFastPath(b *testing.B) {
 	}
 }
 
-// BenchmarkPromotionTriplePinned is the promotion triple on a grouped team
-// ("2x2") with the root pinned to group 0: the fast path with the full
-// topology machinery (group inboxes, tiered victim lists) in force.
-// Allocations are reported but not gated: idle remote workers may steal a
-// task, and a stolen task is recycled into the thief's pool, not the
-// owner's.
-func BenchmarkPromotionTriplePinned(b *testing.B) {
-	team := NewTeam(4, WithTopology(MustParseTopology("2x2")))
+// BenchmarkStealLatency measures the cross-worker slow path on a
+// two-worker team: worker 0 spawns batches of short compute tasks that
+// worker 1 must steal to stay busy, and the monitoring counters report the
+// scheduler's own ns/steal (time a successful steal spent searching) and
+// the steal rate.
+func BenchmarkStealLatency(b *testing.B) {
+	team := NewTeam(2)
 	defer team.Close()
-	err := team.RunOn(0, func(w *Worker) {
-		for i := 0; i < 8; i++ {
-			promotionTriple(w)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			promotionTriple(w)
-		}
-		b.StopTimer()
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-}
-
-// stealDrive is the shared body of the stealing benchmarks: the root worker
-// spawns batches of short compute tasks that the rest of the team must steal
-// to stay busy, and the monitoring counters report the scheduler's own
-// ns/steal (time a successful steal spent searching), the steal rate, and —
-// on a grouped topology — how many steals crossed a group boundary.
-func stealDrive(b *testing.B, team *Team, submit func(func(w *Worker)) error) {
 	before := team.Counters()
 	const batch = 64
-	err := submit(func(w *Worker) {
+	err := team.Run(func(w *Worker) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -184,26 +161,4 @@ func stealDrive(b *testing.B, team *Team, submit func(func(w *Worker)) error) {
 		b.ReportMetric(float64(d.StealNanos)/float64(d.Steals), "ns/steal")
 	}
 	b.ReportMetric(float64(d.Steals)/float64(b.N), "steals/op")
-	if team.Groups() > 1 {
-		b.ReportMetric(float64(d.StealsRemote)/float64(b.N), "remote-steals/op")
-	}
-}
-
-// BenchmarkStealLatency measures the cross-worker slow path on a flat
-// two-worker team: worker 0 spawns batches that worker 1 must steal.
-func BenchmarkStealLatency(b *testing.B) {
-	team := NewTeam(2, WithTopology(Flat(2)))
-	defer team.Close()
-	stealDrive(b, team, team.Run)
-}
-
-// BenchmarkStealLatencyCross is StealLatency on a "2x2" team with the root
-// pinned to group 0: every batch originates in one group, so the other
-// group's workers must cross a boundary to help.
-func BenchmarkStealLatencyCross(b *testing.B) {
-	team := NewTeam(4, WithTopology(MustParseTopology("2x2")))
-	defer team.Close()
-	stealDrive(b, team, func(fn func(w *Worker)) error {
-		return team.RunOn(0, fn)
-	})
 }

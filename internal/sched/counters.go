@@ -19,19 +19,18 @@ import (
 //
 //hbc:padded
 type wcounters struct {
-	_            [64]byte
-	spawned      atomic.Int64 // tasks pushed via Spawn
-	execs        atomic.Int64 // tasks executed to completion
-	steals       atomic.Int64 // successful steals (all distances)
-	stealsRemote atomic.Int64 // successful steals that crossed a group boundary
-	parks        atomic.Int64 // times the worker parked
-	wakes        atomic.Int64 // times a park ended via a wake signal
-	taskHit      atomic.Int64 // task free-list hits
-	taskMiss     atomic.Int64 // task free-list misses (heap allocation)
-	latchHit     atomic.Int64 // latch free-list hits
-	latchMiss    atomic.Int64 // latch free-list misses (heap allocation)
-	stealNS      atomic.Int64 // total ns successful steals spent searching
-	_            [64]byte
+	_         [64]byte
+	spawned   atomic.Int64 // tasks pushed via Spawn
+	execs     atomic.Int64 // tasks executed to completion
+	steals    atomic.Int64 // successful steals
+	parks     atomic.Int64 // times the worker parked
+	wakes     atomic.Int64 // times a park ended via a wake signal
+	taskHit   atomic.Int64 // task free-list hits
+	taskMiss  atomic.Int64 // task free-list misses (heap allocation)
+	latchHit  atomic.Int64 // latch free-list hits
+	latchMiss atomic.Int64 // latch free-list misses (heap allocation)
+	stealNS   atomic.Int64 // total ns successful steals spent searching
+	_         [64]byte
 }
 
 // Counters is an aggregated snapshot of scheduler activity, for
@@ -44,12 +43,8 @@ type Counters struct {
 	Spawned int64
 	// Executed counts tasks run to completion.
 	Executed int64
-	// Steals counts successful steals at any distance; StealsRemote counts
-	// the subset that crossed a leaf-group boundary of the team's topology
-	// (always 0 on a flat team). Group-local steals are the difference —
-	// see StealsLocal.
-	Steals       int64
-	StealsRemote int64
+	// Steals counts successful steals.
+	Steals int64
 	// Parks counts the times a worker gave up spinning and parked.
 	Parks int64
 	// Wakes counts parks that ended via an explicit wake signal (rather
@@ -66,19 +61,6 @@ type Counters struct {
 	StealNanos int64
 }
 
-// StealsLocal returns the number of steals that stayed within the thief's
-// leaf group.
-func (c Counters) StealsLocal() int64 { return c.Steals - c.StealsRemote }
-
-// LocalStealShare returns the fraction of steals that stayed group-local
-// (1 when no steal happened — an idle team is perfectly local).
-func (c Counters) LocalStealShare() float64 {
-	if c.Steals == 0 {
-		return 1
-	}
-	return float64(c.StealsLocal()) / float64(c.Steals)
-}
-
 // AvgStealLatency returns the mean time a successful steal spent searching.
 func (c Counters) AvgStealLatency() time.Duration {
 	if c.Steals == 0 {
@@ -92,7 +74,6 @@ func (c Counters) plus(o Counters) Counters {
 	c.Spawned += o.Spawned
 	c.Executed += o.Executed
 	c.Steals += o.Steals
-	c.StealsRemote += o.StealsRemote
 	c.Parks += o.Parks
 	c.Wakes += o.Wakes
 	c.TaskPoolHits += o.TaskPoolHits
@@ -108,7 +89,6 @@ func (c Counters) Sub(o Counters) Counters {
 	c.Spawned -= o.Spawned
 	c.Executed -= o.Executed
 	c.Steals -= o.Steals
-	c.StealsRemote -= o.StealsRemote
 	c.Parks -= o.Parks
 	c.Wakes -= o.Wakes
 	c.TaskPoolHits -= o.TaskPoolHits
@@ -125,7 +105,6 @@ func (w *Worker) Counters() Counters {
 		Spawned:         w.c.spawned.Load(),
 		Executed:        w.c.execs.Load(),
 		Steals:          w.c.steals.Load(),
-		StealsRemote:    w.c.stealsRemote.Load(),
 		Parks:           w.c.parks.Load(),
 		Wakes:           w.c.wakes.Load(),
 		TaskPoolHits:    w.c.taskHit.Load(),

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -59,11 +60,12 @@ func TestRunCloseNoOrphans(t *testing.T) {
 }
 
 // TestNextPrefersDequeOverInbox pins the scheduling order of Worker.next:
-// own deque (LIFO) first, then steals, then the external inbox. An inbox
-// burst must not starve in-flight promoted slices.
+// own deque (LIFO) first, then steals from every other worker, then the
+// external inbox. An inbox burst must not starve in-flight promoted slices,
+// and no victim may be skipped while its deque holds work.
 func TestNextPrefersDequeOverInbox(t *testing.T) {
-	team := newTeam(2) // workers not started; we drive next() by hand
-	w0, w1 := team.workers[0], team.workers[1]
+	team := newTeam(4) // workers not started; we drive next() by hand
+	w0 := team.workers[0]
 
 	order := []string{}
 	mk := func(name string) *Task {
@@ -71,14 +73,16 @@ func TestNextPrefersDequeOverInbox(t *testing.T) {
 	}
 
 	team.inbox <- mk("I")
-	w1.dq.PushBottom(mk("V"))
+	for _, v := range team.workers[1:] {
+		v.dq.PushBottom(mk(fmt.Sprintf("V%d", v.id)))
+	}
 	w0.dq.PushBottom(mk("A"))
 	w0.dq.PushBottom(mk("B"))
 
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 6; i++ {
 		task := w0.next()
 		if task == nil {
-			t.Fatalf("next() returned nil with work pending (step %d)", i)
+			t.Fatalf("next() returned nil with work pending (step %d, order %v)", i, order)
 		}
 		task.Run(w0)
 	}
@@ -86,11 +90,22 @@ func TestNextPrefersDequeOverInbox(t *testing.T) {
 		t.Fatal("next() returned a task after all work drained")
 	}
 
-	want := []string{"B", "A", "V", "I"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("scheduling order = %v, want %v (own LIFO, then steal, then inbox)", order, want)
+	// The sweep's random start decides the victims' order, so check the
+	// own-deque prefix and the inbox suffix exactly and the middle as a set.
+	if order[0] != "B" || order[1] != "A" || order[5] != "I" {
+		t.Fatalf("scheduling order = %v, want B A, then V1-V3 in any order, then I", order)
+	}
+	stolen := map[string]bool{}
+	for _, name := range order[2:5] {
+		stolen[name] = true
+	}
+	for _, v := range []string{"V1", "V2", "V3"} {
+		if !stolen[v] {
+			t.Fatalf("scheduling order = %v: victim %s not drained before the inbox", order, v)
 		}
+	}
+	if c := w0.Counters(); c.Steals != 3 {
+		t.Fatalf("w0 steals = %d, want 3", c.Steals)
 	}
 }
 

@@ -197,26 +197,9 @@ func (l *Latch) rethrow() {
 	}
 }
 
-// group is one leaf group of the team's topology: a set of workers that
-// steal from each other before looking anywhere else, plus an overflow inbox
-// for submissions targeted at the group (Team.RunOn). The inbox is how a
-// cross-group push hands work over without touching any member's deque — the
-// receiving group drains it locally, so a remote producer never thrashes the
-// cache line a group member's deque owner is working.
-type group struct {
-	id      int
-	inbox   chan *Task
-	members []*Worker
-}
-
 // Team is a fixed-size pool of workers sharing work by stealing.
 type Team struct {
 	workers []*Worker
-	topo    Topology
-	// topoSet records that WithTopology was passed, so NewTeam knows whether
-	// the HBC_TOPOLOGY environment override applies.
-	topoSet bool
-	groups  []*group
 	inbox   chan *Task // external task submissions
 	wake    chan struct{}
 	stop    chan struct{}
@@ -262,44 +245,15 @@ func newTeam(n int) *Team {
 			rng:  uint64(i)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d,
 		}
 	}
-	t.applyTopology(Topology{})
-	return t
-}
-
-// applyTopology (re)builds the team's groups and every worker's victim tiers
-// for the given topology, fitted to the worker count. Must run before the
-// worker goroutines start; tests that drive unstarted teams by hand may call
-// it directly.
-func (t *Team) applyTopology(topo Topology) {
-	n := len(t.workers)
-	topo = topo.Fit(n)
-	t.topo = topo
-	ngroups := topo.Groups()
-	t.groups = make([]*group, ngroups)
-	for g := range t.groups {
-		t.groups[g] = &group{id: g, inbox: make(chan *Task, n)}
-	}
 	for _, w := range t.workers {
-		g := topo.GroupOf(w.id)
-		if g >= ngroups { // fitted ragged tail; clamp to the last group
-			g = ngroups - 1
-		}
-		w.grp = t.groups[g]
-		w.grp.members = append(w.grp.members, w)
-		ids := topo.Tiers(w.id, n)
-		w.tiers = make([][]*Worker, len(ids))
-		w.hasVictims = false
-		for d, tier := range ids {
-			ws := make([]*Worker, len(tier))
-			for i, v := range tier {
-				ws[i] = t.workers[v]
-			}
-			w.tiers[d] = ws
-			if len(ws) > 0 {
-				w.hasVictims = true
+		w.victims = make([]*Worker, 0, n-1)
+		for _, v := range t.workers {
+			if v != w {
+				w.victims = append(w.victims, v)
 			}
 		}
 	}
+	return t
 }
 
 // TeamOption configures a Team at creation, before its workers start.
@@ -318,35 +272,12 @@ func WithTracer(tr *telemetry.Tracer) TeamOption {
 	}
 }
 
-// WithTopology groups the team's workers into the given hierarchy (fitted
-// to the worker count): steals search the thief's own group first and widen
-// outward only after bounded failed attempts, and Team.RunOn can pin a root
-// task to one group's inbox. The zero Topology (or Flat) reproduces the
-// classic single-tier stealing. An explicit WithTopology wins over the
-// HBC_TOPOLOGY environment override.
-func WithTopology(topo Topology) TeamOption {
-	return func(t *Team) {
-		t.topoSet = true
-		t.applyTopology(topo)
-	}
-}
-
 // NewTeam creates a team with n workers (n < 1 is treated as 1) and starts
 // them. Close must be called to release the worker goroutines.
-//
-// Unless WithTopology is passed, the topology comes from the HBC_TOPOLOGY
-// environment variable ("2x4", "2x2x2", ...; see ParseTopology), defaulting
-// to flat — the override CI's topology matrix uses to run every consumer of
-// the scheduler under synthetic hierarchies.
 func NewTeam(n int, opts ...TeamOption) *Team {
 	t := newTeam(n)
 	for _, o := range opts {
 		o(t)
-	}
-	if !t.topoSet {
-		if env := TopologyFromEnv(len(t.workers)); env.Depth() > 0 {
-			t.applyTopology(env)
-		}
 	}
 	for _, w := range t.workers {
 		t.wg.Add(1)
@@ -354,16 +285,6 @@ func NewTeam(n int, opts ...TeamOption) *Team {
 	}
 	return t
 }
-
-// Topology returns the team's fitted topology.
-func (t *Team) Topology() Topology { return t.topo }
-
-// Groups returns the number of leaf groups in the team's topology (1 when
-// flat).
-func (t *Team) Groups() int { return len(t.groups) }
-
-// GroupOf returns the leaf group worker i belongs to.
-func (t *Team) GroupOf(i int) int { return t.workers[i].grp.id }
 
 // Size returns the number of workers in the team.
 func (t *Team) Size() int { return len(t.workers) }
@@ -440,33 +361,6 @@ func (t *Team) Run(fn func(w *Worker)) error {
 	return nil
 }
 
-// RunOn is Run with the root task pinned to one leaf group: the task is
-// submitted to that group's overflow inbox, so only the group's members pick
-// it up — and everything the nest forks starts on (and is stolen near-first
-// within) that group. This is the placement hook a serving layer uses to
-// keep a tenant's runs on one group. Group indices outside [0, Groups())
-// are an error; on a flat team group 0 is the whole team, making RunOn(0)
-// equivalent to Run.
-func (t *Team) RunOn(group int, fn func(w *Worker)) error {
-	if group < 0 || group >= len(t.groups) {
-		return fmt.Errorf("sched: RunOn group %d out of range [0,%d)", group, len(t.groups))
-	}
-	t.inflight.Add(1)
-	defer t.inflight.Add(-1)
-	if t.closed.Load() {
-		return ErrTeamClosed
-	}
-	l := NewLatch(1)
-	task := &Task{Run: fn, Latch: l}
-	t.ext.Add(1)
-	t.groups[group].inbox <- task // capacity = team size; never blocks long
-	if t.nidle.Load() != 0 {
-		t.signal()
-	}
-	l.Wait()
-	return nil
-}
-
 // signal wakes at most one parked worker.
 func (t *Team) signal() {
 	select {
@@ -494,15 +388,10 @@ type Worker struct {
 	id   int
 	team *Team
 	dq   *deque.Deque[Task]
-	// grp is the worker's leaf group in the team topology; tiers holds the
-	// other workers bucketed by steal distance (tiers[0] = own group), the
-	// precomputed victim lists the widening search sweeps. Both are set by
-	// applyTopology before the worker goroutine starts and never change.
-	grp   *group
-	tiers [][]*Worker
-	// hasVictims is false only on a single-worker team, letting next() skip
-	// the steal clock entirely.
-	hasVictims bool
+	// victims holds every other worker of the team, the list each steal
+	// sweep walks from a random start. Set by newTeam and never changed;
+	// empty on a single-worker team.
+	victims []*Worker
 	// tr is the telemetry tracer, nil when tracing is disabled. Immutable
 	// after NewTeam; the worker only ever writes its own lane.
 	tr *telemetry.Tracer
@@ -627,44 +516,19 @@ func (w *Worker) HelpUntil(l *Latch) {
 	l.rethrow()
 }
 
-// next returns a runnable task, nearest source first: own deque, then steal
-// sweeps over the own group, then the group's overflow inbox, then widening
-// steal sweeps outward tier by tier, then the team's external inbox. Deque
-// work — the promoted slices already in flight — takes priority over new
-// external submissions, so a submission burst cannot starve the tasks the
-// heartbeat machinery is counting on being drained; and every group-local
-// source is exhausted before a steal crosses a group boundary, which is what
-// keeps cross-group traffic proportional to genuine imbalance instead of to
-// the steal rate.
+// next returns a runnable task: own deque, then steal sweeps over the other
+// workers, then the team's external inbox. Deque work — the promoted slices
+// already in flight — takes priority over new external submissions, so a
+// submission burst cannot starve the tasks the heartbeat machinery is
+// counting on being drained.
 //
 //hbc:noalloc
 func (w *Worker) next() *Task {
 	if t, ok := w.dq.PopBottom(); ok {
 		return t
 	}
-	if !w.hasVictims { // single-worker team: nothing to steal, skip the clock
-		select {
-		case t := <-w.grp.inbox:
-			return t
-		case t := <-w.team.inbox:
-			return t
-		default:
-		}
-		return nil
-	}
-	t0 := time.Now()
-	if t := w.stealTier(0, t0); t != nil {
+	if t := w.steal(); t != nil {
 		return t
-	}
-	select {
-	case t := <-w.grp.inbox:
-		return t
-	default:
-	}
-	for tier := 1; tier < len(w.tiers); tier++ {
-		if t := w.stealTier(tier, t0); t != nil {
-			return t
-		}
 	}
 	select {
 	case t := <-w.team.inbox:
@@ -674,52 +538,31 @@ func (w *Worker) next() *Task {
 	return nil
 }
 
-// stealSweeps bounds the failed random-victim sweeps over one tier before
-// the search widens to the next. Two sweeps match the historical flat
-// search; per tier they are the "bounded failed attempts" of the widening
-// discipline.
+// stealSweeps bounds the failed random-start sweeps over the victim list
+// before next falls through to the inbox.
 const stealSweeps = 2
 
-// stealTier performs up to stealSweeps random-start sweeps over the victims
-// at one steal distance, recording the distance and how long a successful
-// steal spent searching (from t0, which spans the whole widening search so
-// far — a cross-group steal is charged for the local sweeps that failed
-// before it).
+// steal performs up to stealSweeps sweeps over the victims, each from a
+// random start, recording how long a successful steal spent searching.
 //
 //hbc:noalloc
-func (w *Worker) stealTier(tier int, t0 time.Time) *Task {
-	victims := w.tiers[tier]
-	n := len(victims)
-	if n == 0 {
+func (w *Worker) steal() *Task {
+	n := len(w.victims)
+	if n == 0 { // single-worker team: nothing to steal, skip the clock
 		return nil
 	}
+	t0 := time.Now()
 	for sweep := 0; sweep < stealSweeps; sweep++ {
 		start := int(w.nextRand() % uint64(n))
 		for i := 0; i < n; i++ {
-			v := victims[(start+i)%n]
+			v := w.victims[(start+i)%n]
 			if t, ok := v.dq.Steal(); ok {
 				ns := int64(time.Since(t0))
 				w.c.steals.Add(1)
 				w.c.stealNS.Add(ns)
-				if tier > 0 {
-					w.c.stealsRemote.Add(1)
-				}
-				w.tr.Emit(w.id, telemetry.KindSteal, int64(v.id), ns, int64(tier), 0, 0)
+				w.tr.Emit(w.id, telemetry.KindSteal, int64(v.id), ns, 0, 0, 0)
 				return t
 			}
-		}
-	}
-	return nil
-}
-
-// trySteal runs the widening steal search alone (no inbox polling): own
-// group first, one tier further per round of failed sweeps. Kept as the
-// steal entry point for tests that pin the victim order.
-func (w *Worker) trySteal() *Task {
-	t0 := time.Now()
-	for tier := 0; tier < len(w.tiers); tier++ {
-		if t := w.stealTier(tier, t0); t != nil {
-			return t
 		}
 	}
 	return nil
@@ -836,17 +679,6 @@ func (w *Worker) loop() {
 			w.tr.Emit(w.id, telemetry.KindUnpark, telemetry.UnparkInbox, 0, 0, 0, 0)
 			w.execute(t)
 			continue
-		case t := <-w.grp.inbox:
-			// A pinned submission for this worker's group: parked group
-			// members receive it directly, so RunOn never depends on the
-			// wake signal reaching the right group.
-			team.nidle.Add(-1)
-			if !timer.Stop() {
-				<-timer.C
-			}
-			w.tr.Emit(w.id, telemetry.KindUnpark, telemetry.UnparkInbox, 0, 0, 0, 0)
-			w.execute(t)
-			continue
 		case <-timer.C:
 			fired = true
 			w.tr.Emit(w.id, telemetry.KindUnpark, telemetry.UnparkTimer, 0, 0, 0, 0)
@@ -859,13 +691,13 @@ func (w *Worker) loop() {
 }
 
 // sawWork reports whether any queue this worker could draw from is visibly
-// non-empty: the team inbox, the worker's own group inbox, or any deque.
+// non-empty: the team inbox or another worker's deque.
 func (w *Worker) sawWork() bool {
-	if len(w.team.inbox) > 0 || len(w.grp.inbox) > 0 {
+	if len(w.team.inbox) > 0 {
 		return true
 	}
-	for _, v := range w.team.workers {
-		if v != w && !v.dq.Empty() {
+	for _, v := range w.victims {
+		if !v.dq.Empty() {
 			return true
 		}
 	}

@@ -17,8 +17,7 @@ import (
 // On a multi-shard pool the queue additionally keeps tenants shard-affine:
 // every tenant has a home shard (FNV hash of its name), and popFor serves a
 // home tenant's request when one is queued, so a tenant's kernels keep
-// hitting the same warm team — and, when shards are placed one-per-topology-
-// group, the same worker group. Affinity is a preference, not a partition:
+// hitting the same warm team. Affinity is a preference, not a partition:
 // a shard with no home work takes the oldest round-robin tenant instead
 // (work-conserving), so locality never idles capacity.
 //

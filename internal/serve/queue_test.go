@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -76,5 +77,79 @@ func TestFairQueuePopBlocksUntilPush(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("pop did not wake on push")
+	}
+}
+
+// tenantHomedOn finds a tenant name whose FNV home among n shards is the
+// given shard — tests stay deterministic without hardcoding hash values.
+func tenantHomedOn(t *testing.T, shard, n int) string {
+	t.Helper()
+	for i := 0; i < 10000; i++ {
+		name := fmt.Sprintf("tenant-%d", i)
+		if homeShard(name, n) == shard {
+			return name
+		}
+	}
+	t.Fatalf("no tenant name homed on shard %d/%d in 10000 tries", shard, n)
+	return ""
+}
+
+func TestFairQueuePrefersHomeShard(t *testing.T) {
+	q := newFairQueue(16, 2)
+	t0 := tenantHomedOn(t, 0, 2)
+	t1 := tenantHomedOn(t, 1, 2)
+	// t0 enqueues first, so plain round-robin would hand its request to
+	// whichever shard pops next; affinity must route each tenant home.
+	q.push(mkreq(t0))
+	q.push(mkreq(t1))
+	if r := q.popFor(1); r.tenant != t1 {
+		t.Fatalf("shard 1 popped %q, want home tenant %q", r.tenant, t1)
+	}
+	if r := q.popFor(0); r.tenant != t0 {
+		t.Fatalf("shard 0 popped %q, want home tenant %q", r.tenant, t0)
+	}
+	affine, foreign := q.affinity()
+	if affine != 2 || foreign != 0 {
+		t.Fatalf("affinity = %d/%d, want 2 affine / 0 foreign", affine, foreign)
+	}
+}
+
+func TestFairQueueWorkConservingFallback(t *testing.T) {
+	q := newFairQueue(16, 2)
+	t0 := tenantHomedOn(t, 0, 2)
+	q.push(mkreq(t0))
+	// Shard 1 has no home work queued; it must take shard 0's tenant rather
+	// than idle while work waits.
+	if r := q.popFor(1); r == nil || r.tenant != t0 {
+		t.Fatalf("foreign shard did not take waiting work")
+	}
+	affine, foreign := q.affinity()
+	if affine != 0 || foreign != 1 {
+		t.Fatalf("affinity = %d/%d, want 0 affine / 1 foreign", affine, foreign)
+	}
+}
+
+func TestFairQueueAffinityKeepsCoHomedTenantsFair(t *testing.T) {
+	q := newFairQueue(32, 2)
+	a := tenantHomedOn(t, 0, 2)
+	var b string
+	for i := 10000; ; i++ {
+		b = fmt.Sprintf("tenant-%d", i)
+		if b != a && homeShard(b, 2) == 0 {
+			break
+		}
+	}
+	// Two tenants homed on shard 0, interleaved backlog: service must
+	// alternate between them, not drain one FIFO first.
+	for i := 0; i < 2; i++ {
+		q.push(mkreq(a))
+		q.push(mkreq(b))
+	}
+	got := []string{q.popFor(0).tenant, q.popFor(0).tenant, q.popFor(0).tenant, q.popFor(0).tenant}
+	want := []string{a, b, a, b}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("pop order %v, want %v", got, want)
+		}
 	}
 }

@@ -92,16 +92,6 @@ type Config struct {
 	// WorkersPerShard sets each team's worker count (default
 	// max(1, NumCPU/Shards)).
 	WorkersPerShard int
-	// Topology, when non-flat, drives topology-aware shard placement. Shards
-	// defaults to the topology's leaf-group count and WorkersPerShard to the
-	// group size, so each shard team occupies exactly one group; with that
-	// 1:1 placement each team runs the group's interior sub-topology, and
-	// with any other shard count the whole topology is fitted to each team's
-	// worker count instead. A multi-shard pool then routes each tenant to a
-	// home shard (stable FNV hash of the tenant name) with work-conserving
-	// fallback, so same-tenant requests keep hitting the same group. The
-	// zero value leaves placement flat and lets HBC_TOPOLOGY apply per team.
-	Topology hbc.Topology
 	// QueueDepth bounds the admission queue across all tenants (default 64).
 	// A request arriving at a full queue is shed with *ErrOverloaded.
 	QueueDepth int
@@ -125,14 +115,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if g := c.Topology.Groups(); g > 1 {
-		if c.Shards < 1 {
-			c.Shards = g
-		}
-		if c.WorkersPerShard < 1 && c.Shards == g {
-			c.WorkersPerShard = c.Topology.GroupTopology().Workers()
-		}
-	}
 	if c.Shards < 1 {
 		c.Shards = 2
 	}
@@ -265,22 +247,8 @@ func NewPool(cfg Config) *Pool {
 		active:  make(map[*request]struct{}),
 		tenants: make(map[string]*tenantStats),
 	}
-	// Topology-aware placement: with one shard per leaf group, each team is
-	// handed the group's interior sub-topology; any other shard count gets
-	// the whole hierarchy, fitted by the team to its own worker count.
-	shardTopo := hbc.Topology{}
-	placeTopo := cfg.Topology.Groups() > 1
-	if placeTopo {
-		shardTopo = cfg.Topology
-		if cfg.Shards == cfg.Topology.Groups() {
-			shardTopo = cfg.Topology.GroupTopology()
-		}
-	}
 	for i := 0; i < cfg.Shards; i++ {
 		opts := []hbc.Option{hbc.Workers(cfg.WorkersPerShard), hbc.WithName(fmt.Sprintf("shard%d", i))}
-		if placeTopo {
-			opts = append(opts, hbc.WithTopology(shardTopo))
-		}
 		if cfg.Heartbeat > 0 {
 			opts = append(opts, hbc.Heartbeat(cfg.Heartbeat))
 		}
@@ -526,8 +494,7 @@ func (p *Pool) serveOne(s *shard, r *request) {
 	r.done <- outcome{res: Result{Value: v, Shard: s.id, Queued: queued, Run: dur}, err: err}
 }
 
-// Shards returns the number of shard teams in the pool — which may have
-// been derived from Config.Topology rather than set explicitly.
+// Shards returns the number of shard teams in the pool.
 func (p *Pool) Shards() int { return len(p.shards) }
 
 // ShardWorkers returns the worker count of each shard's team.

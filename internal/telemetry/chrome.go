@@ -55,7 +55,7 @@ func chromeArgs(e Event) map[string]any {
 			"leftover": e.A != e.B,
 		}
 	case KindSteal:
-		return map[string]any{"victim": e.A, "search_ns": e.B, "distance": e.C}
+		return map[string]any{"victim": e.A, "search_ns": e.B}
 	case KindUnpark:
 		reason := "timer"
 		switch e.A {

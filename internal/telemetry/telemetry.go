@@ -48,9 +48,7 @@ const (
 	// was forked iff A != B (an ancestor was split).
 	KindPromotion Kind = iota
 	// KindSteal is a successful steal by this worker: A is the victim
-	// worker, B the nanoseconds the steal spent searching, C the steal
-	// distance in the team's topology (0 = same leaf group, 1 = sibling
-	// group, and so on; always 0 on a flat team).
+	// worker, B the nanoseconds the steal spent searching.
 	KindSteal
 	// KindPark marks this worker giving up spinning and blocking.
 	KindPark
