@@ -85,23 +85,26 @@ func bodyNest0(e *Env, lo, hi int64, acc *float64) {
 }
 
 // sliceTaskNest0 is the monomorphic slice-task entry for the leaf loop:
-// it owns the chunked iteration loop, spends the runtime's private
-// iteration budget _b (rt.Budget, passed down the chain), and inlines
-// the promotion poll at chunk boundaries, returning the next unstarted
-// iteration so a heartbeat can promote the remaining slice. A chunk
-// that ends at hi leaves the budget at zero and returns without
-// polling: the enclosing latch takes that poll. Cancellation is checked
-// where a chunk starts; a chunk carried in from the enclosing iteration
-// was checked by its caller.
+// it owns the chunked iteration loop, spends the private iteration
+// budget _r (passed in and returned, so it stays in a register down the
+// chain), and inlines the promotion poll at chunk boundaries, returning
+// the next unstarted iteration so a heartbeat can promote the remaining
+// slice. A chunk that ends at hi leaves the budget at zero and returns
+// without polling: the enclosing latch takes that poll. Cancellation is
+// checked wherever a chunk is drawn; a chunk carried in from the
+// enclosing iteration was checked where it was drawn.
+// The reduction accumulates in the local _a, stored back to *acc on
+// every return.
 //
 //hbc:noalloc
-func sliceTaskNest0(e *Env, iv, hi int64, acc *float64, _b *int64, rt hbc.SliceRT) int64 {
+func sliceTaskNest0(e *Env, iv, hi int64, acc *float64, _r int64, rt hbc.SliceRT) (int64, int64) {
 	v := e.v
+	_a := *acc
 	for iv < hi {
-		_r := *_b
 		if _r <= 0 {
 			if rt.Aborted() {
-				return iv
+				*acc = _a
+				return iv, _r
 			}
 			_r = rt.Chunk(hi - iv)
 		}
@@ -110,19 +113,20 @@ func sliceTaskNest0(e *Env, iv, hi int64, acc *float64, _b *int64, rt hbc.SliceR
 			_n = _left
 		}
 		for i := iv; i < iv+_n; i++ {
-			*acc += (v[i] * v[i])
+			_a += (v[i] * v[i])
 		}
 		iv += _n
 		_r -= _n
-		*_b = _r
 		if _r == 0 && iv < hi {
-			*_b = rt.Chunk(hi - iv)
+			_r = rt.Chunk(hi - iv)
 			if rt.Poll() || rt.Aborted() {
-				return iv
+				*acc = _a
+				return iv, _r
 			}
 		}
 	}
-	return iv
+	*acc = _a
+	return iv, _r
 }
 
 // ctx is one level of RunSerial's flat loop context — bounds, induction
@@ -163,7 +167,9 @@ func Nest(e *Env) *hbc.Nest {
 			bodyNest0(e, lo, hi, acc.(*float64))
 		},
 		Slice: func(_ any, _ []int64, iv, hi int64, acc any, rt hbc.SliceRT) int64 {
-			return sliceTaskNest0(e, iv, hi, acc.(*float64), rt.Budget(), rt)
+			b := rt.Budget()
+			iv, *b = sliceTaskNest0(e, iv, hi, acc.(*float64), *b, rt)
+			return iv
 		},
 		Reduce: gen.SumFloat64(),
 	}

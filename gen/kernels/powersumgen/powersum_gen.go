@@ -107,48 +107,50 @@ func leftoverTailNest0(e *Env, i int64, acc *float64) {
 
 // sliceTaskNest0 is the monomorphic slice-task entry for the level-0 loop
 // over i: it runs whole iterations — hooks, the nested loop's bounds,
-// and a direct call of sliceTaskNest1 — and spends the runtime's budget _b
-// at its latch: an iteration whose nested loop ran nothing costs one
-// unit, and a budget at zero polls with iterations left or, at hi, is
-// returned for the runtime to poll. A nested stop is recorded with
+// and a direct call of sliceTaskNest1, which spends and returns the
+// budget _r — and spends _r at its latch: an iteration whose nested loop
+// ran nothing costs one unit, and a budget at zero polls with iterations
+// left or, at hi, is returned for the runtime to poll. Cancellation is
+// checked wherever a chunk is drawn. A nested stop is recorded with
 // rt.Stop and the in-flight iteration returned for the runtime to
 // finish.
 //
 //hbc:noalloc
-func sliceTaskNest0(e *Env, iv, hi int64, _b *int64, rt hbc.SliceRT) int64 {
+func sliceTaskNest0(e *Env, iv, hi int64, _r int64, rt hbc.SliceRT) (int64, int64) {
 	_acc := rt.Acc(1).(*float64)
 	for iv < hi {
-		if rt.Aborted() {
-			return iv
-		}
 		i := iv
 		_lo, _hi := boundsNest1(e, i)
 		*_acc = 0
 		if _lo < _hi {
-			if _iv := sliceTaskNest1(e, i, _lo, _hi, _acc, _b, rt); _iv < _hi {
+			var _iv int64
+			if _iv, _r = sliceTaskNest1(e, i, _lo, _hi, _acc, _r, rt); _iv < _hi {
 				rt.Stop(1, _lo, _iv, _hi)
-				return iv
+				return iv, _r
 			}
 		}
 		leftoverTailNest0(e, i, _acc)
 		iv++
 		if _lo >= _hi {
-			if *_b <= 0 {
-				*_b = rt.Chunk(hi - iv)
+			if _r <= 0 {
+				if rt.Aborted() {
+					return iv, _r
+				}
+				_r = rt.Chunk(hi - iv)
 			}
-			*_b--
+			_r--
 		}
-		if *_b == 0 {
+		if _r == 0 {
 			if iv >= hi {
-				return iv
+				return iv, _r
 			}
-			*_b = rt.Chunk(hi - iv)
-			if rt.Poll() {
-				return iv
+			_r = rt.Chunk(hi - iv)
+			if rt.Poll() || rt.Aborted() {
+				return iv, _r
 			}
 		}
 	}
-	return iv
+	return iv, _r
 }
 
 // boundsNest1 evaluates the [lo, hi) range of the level-1 loop over j.
@@ -171,23 +173,26 @@ func bodyNest1(e *Env, i int64, lo, hi int64, acc *float64) {
 }
 
 // sliceTaskNest1 is the monomorphic slice-task entry for the leaf loop:
-// it owns the chunked iteration loop, spends the runtime's private
-// iteration budget _b (rt.Budget, passed down the chain), and inlines
-// the promotion poll at chunk boundaries, returning the next unstarted
-// iteration so a heartbeat can promote the remaining slice. A chunk
-// that ends at hi leaves the budget at zero and returns without
-// polling: the enclosing latch takes that poll. Cancellation is checked
-// where a chunk starts; a chunk carried in from the enclosing iteration
-// was checked by its caller.
+// it owns the chunked iteration loop, spends the private iteration
+// budget _r (passed in and returned, so it stays in a register down the
+// chain), and inlines the promotion poll at chunk boundaries, returning
+// the next unstarted iteration so a heartbeat can promote the remaining
+// slice. A chunk that ends at hi leaves the budget at zero and returns
+// without polling: the enclosing latch takes that poll. Cancellation is
+// checked wherever a chunk is drawn; a chunk carried in from the
+// enclosing iteration was checked where it was drawn.
+// The reduction accumulates in the local _a, stored back to *acc on
+// every return.
 //
 //hbc:noalloc
-func sliceTaskNest1(e *Env, i int64, iv, hi int64, acc *float64, _b *int64, rt hbc.SliceRT) int64 {
+func sliceTaskNest1(e *Env, i int64, iv, hi int64, acc *float64, _r int64, rt hbc.SliceRT) (int64, int64) {
 	A_val := e.A_val
+	_a := *acc
 	for iv < hi {
-		_r := *_b
 		if _r <= 0 {
 			if rt.Aborted() {
-				return iv
+				*acc = _a
+				return iv, _r
 			}
 			_r = rt.Chunk(hi - iv)
 		}
@@ -196,19 +201,20 @@ func sliceTaskNest1(e *Env, i int64, iv, hi int64, acc *float64, _b *int64, rt h
 			_n = _left
 		}
 		for j := iv; j < iv+_n; j++ {
-			*acc += (A_val[j] * A_val[j])
+			_a += (A_val[j] * A_val[j])
 		}
 		iv += _n
 		_r -= _n
-		*_b = _r
 		if _r == 0 && iv < hi {
-			*_b = rt.Chunk(hi - iv)
+			_r = rt.Chunk(hi - iv)
 			if rt.Poll() || rt.Aborted() {
-				return iv
+				*acc = _a
+				return iv, _r
 			}
 		}
 	}
-	return iv
+	*acc = _a
+	return iv, _r
 }
 
 // ctx is one level of RunSerial's flat loop context — bounds, induction
@@ -254,7 +260,9 @@ func Nest(e *Env) *hbc.Nest {
 			bodyNest1(e, idx[0], lo, hi, acc.(*float64))
 		},
 		Slice: func(_ any, idx []int64, iv, hi int64, acc any, rt hbc.SliceRT) int64 {
-			return sliceTaskNest1(e, idx[0], iv, hi, acc.(*float64), rt.Budget(), rt)
+			b := rt.Budget()
+			iv, *b = sliceTaskNest1(e, idx[0], iv, hi, acc.(*float64), *b, rt)
+			return iv
 		},
 		Reduce: gen.SumFloat64(),
 	}
@@ -265,7 +273,9 @@ func Nest(e *Env) *hbc.Nest {
 		},
 		Children: []*hbc.Loop{l1},
 		Slice: func(_ any, _ []int64, iv, hi int64, _ any, rt hbc.SliceRT) int64 {
-			return sliceTaskNest0(e, iv, hi, rt.Budget(), rt)
+			b := rt.Budget()
+			iv, *b = sliceTaskNest0(e, iv, hi, *b, rt)
+			return iv
 		},
 		Post: func(_ any, idx []int64, _ any, children []any) {
 			leftoverTailNest0(e, idx[0], children[0].(*float64))

@@ -101,24 +101,23 @@ func bodyNest0(e *Env, lo, hi int64) {
 }
 
 // sliceTaskNest0 is the monomorphic slice-task entry for the leaf loop:
-// it owns the chunked iteration loop, spends the runtime's private
-// iteration budget _b (rt.Budget, passed down the chain), and inlines
-// the promotion poll at chunk boundaries, returning the next unstarted
-// iteration so a heartbeat can promote the remaining slice. A chunk
-// that ends at hi leaves the budget at zero and returns without
-// polling: the enclosing latch takes that poll. Cancellation is checked
-// where a chunk starts; a chunk carried in from the enclosing iteration
-// was checked by its caller.
+// it owns the chunked iteration loop, spends the private iteration
+// budget _r (passed in and returned, so it stays in a register down the
+// chain), and inlines the promotion poll at chunk boundaries, returning
+// the next unstarted iteration so a heartbeat can promote the remaining
+// slice. A chunk that ends at hi leaves the budget at zero and returns
+// without polling: the enclosing latch takes that poll. Cancellation is
+// checked wherever a chunk is drawn; a chunk carried in from the
+// enclosing iteration was checked where it was drawn.
 //
 //hbc:noalloc
-func sliceTaskNest0(e *Env, iv, hi int64, _b *int64, rt hbc.SliceRT) int64 {
+func sliceTaskNest0(e *Env, iv, hi int64, _r int64, rt hbc.SliceRT) (int64, int64) {
 	in := e.in
 	out := e.out
 	for iv < hi {
-		_r := *_b
 		if _r <= 0 {
 			if rt.Aborted() {
-				return iv
+				return iv, _r
 			}
 			_r = rt.Chunk(hi - iv)
 		}
@@ -139,15 +138,14 @@ func sliceTaskNest0(e *Env, iv, hi int64, _b *int64, rt hbc.SliceRT) int64 {
 		}
 		iv += _n
 		_r -= _n
-		*_b = _r
 		if _r == 0 && iv < hi {
-			*_b = rt.Chunk(hi - iv)
+			_r = rt.Chunk(hi - iv)
 			if rt.Poll() || rt.Aborted() {
-				return iv
+				return iv, _r
 			}
 		}
 	}
-	return iv
+	return iv, _r
 }
 
 // ctx is one level of RunSerial's flat loop context — bounds, induction
@@ -187,7 +185,9 @@ func Nest(e *Env) *hbc.Nest {
 			bodyNest0(e, lo, hi)
 		},
 		Slice: func(_ any, _ []int64, iv, hi int64, _ any, rt hbc.SliceRT) int64 {
-			return sliceTaskNest0(e, iv, hi, rt.Budget(), rt)
+			b := rt.Budget()
+			iv, *b = sliceTaskNest0(e, iv, hi, *b, rt)
+			return iv
 		},
 	}
 	return &hbc.Nest{Name: "stencil", Root: l0}

@@ -137,7 +137,7 @@ const (
 	symLoopVar                  // loop variable (parallel or serial) → int64 local/param
 	symIntLocal                 // `let` statement local, int
 	symFltLocal                 // `let` statement local, float
-	symAcc                      // visible accumulator → *acc parameter
+	symAcc                      // visible accumulator → *acc parameter, or a leaf slice's local _a
 )
 
 // envResident reports whether the symbol lives in the Env struct.

@@ -35,6 +35,9 @@ type fn struct {
 	serialDepth int
 	breakTop    string // "continue" in iteration loops, "return" in hooks
 	serialN     int
+	// accLocal renders the accumulator as the local _a, which the leaf
+	// slice task loads from and stores back to *acc, instead of *acc.
+	accLocal bool
 }
 
 // newFn builds a function scope with loop variables of levels [0, upto)
@@ -155,6 +158,9 @@ func (f *fn) val(e frontend.Expr) (string, bool, error) {
 		case symFltLocal:
 			return s.goName, true, nil
 		case symAcc:
+			if f.accLocal {
+				return "_a", true, nil
+			}
 			return "(*acc)", true, nil
 		default:
 			return "", false, fmt.Errorf("codegen: line %d: %q is an array; index it", x.Line, x.Name)
@@ -412,7 +418,11 @@ func (f *fn) assign(x *frontend.AssignStmt) error {
 		if err != nil {
 			return err
 		}
-		f.wf("*acc %s %s", op, v)
+		target := "*acc"
+		if f.accLocal {
+			target = "_a"
+		}
+		f.wf("%s %s %s", target, op, v)
 	case symFltLocal:
 		v, err := f.fltE(x.Value)
 		if err != nil {

@@ -352,34 +352,50 @@ func (em *emitter) bodyFn(k int) error {
 
 func (em *emitter) sliceFn(k int) error {
 	lv := &em.levels[k]
+	reduces := em.leafReduce() != ""
 	f := em.newFn(k, true, em.leafReduce(), "continue")
 	f.indent = 3
+	f.accLocal = true
 	f.scanStmts(lv.pre)
 	acc := ""
-	if em.leafReduce() != "" {
+	if reduces {
 		acc = ", acc *float64"
 	}
 	em.w("// sliceTaskNest%d is the monomorphic slice-task entry for the leaf loop:", k)
-	em.w("// it owns the chunked iteration loop, spends the runtime's private")
-	em.w("// iteration budget _b (rt.Budget, passed down the chain), and inlines")
-	em.w("// the promotion poll at chunk boundaries, returning the next unstarted")
-	em.w("// iteration so a heartbeat can promote the remaining slice. A chunk")
-	em.w("// that ends at hi leaves the budget at zero and returns without")
-	em.w("// polling: the enclosing latch takes that poll. Cancellation is checked")
-	em.w("// where a chunk starts; a chunk carried in from the enclosing iteration")
-	em.w("// was checked by its caller.")
+	em.w("// it owns the chunked iteration loop, spends the private iteration")
+	em.w("// budget _r (passed in and returned, so it stays in a register down the")
+	em.w("// chain), and inlines the promotion poll at chunk boundaries, returning")
+	em.w("// the next unstarted iteration so a heartbeat can promote the remaining")
+	em.w("// slice. A chunk that ends at hi leaves the budget at zero and returns")
+	em.w("// without polling: the enclosing latch takes that poll. Cancellation is")
+	em.w("// checked wherever a chunk is drawn; a chunk carried in from the")
+	em.w("// enclosing iteration was checked where it was drawn.")
+	if reduces {
+		em.w("// The reduction accumulates in the local _a, stored back to *acc on")
+		em.w("// every return.")
+	}
 	em.w("//")
 	em.w("//hbc:noalloc")
-	em.w("func sliceTaskNest%d(e *Env%s, iv, hi int64%s, _b *int64, rt hbc.SliceRT) int64 {", k, em.sigVars(k), acc)
+	em.w("func sliceTaskNest%d(e *Env%s, iv, hi int64%s, _r int64, rt hbc.SliceRT) (int64, int64) {", k, em.sigVars(k), acc)
 	hf := &fn{em: em, hoist: f.hoist, indent: 1}
 	hf.emitHoists()
 	em.buf.Write(hf.b.Bytes())
+	if reduces {
+		em.w("\t_a := *acc")
+	}
+	// ret writes a return at depth tabs, storing the live-out back first.
+	ret := func(depth int) {
+		ind := strings.Repeat("\t", depth)
+		if reduces {
+			em.w("%s*acc = _a", ind)
+		}
+		em.w("%sreturn iv, _r", ind)
+	}
 	v := lv.goVar
 	em.w("\tfor iv < hi {")
-	em.w("\t\t_r := *_b")
 	em.w("\t\tif _r <= 0 {")
 	em.w("\t\t\tif rt.Aborted() {")
-	em.w("\t\t\t\treturn iv")
+	ret(4)
 	em.w("\t\t\t}")
 	em.w("\t\t\t_r = rt.Chunk(hi - iv)")
 	em.w("\t\t}")
@@ -395,15 +411,14 @@ func (em *emitter) sliceFn(k int) error {
 	em.w("\t\t}")
 	em.w("\t\tiv += _n")
 	em.w("\t\t_r -= _n")
-	em.w("\t\t*_b = _r")
 	em.w("\t\tif _r == 0 && iv < hi {")
-	em.w("\t\t\t*_b = rt.Chunk(hi - iv)")
+	em.w("\t\t\t_r = rt.Chunk(hi - iv)")
 	em.w("\t\t\tif rt.Poll() || rt.Aborted() {")
-	em.w("\t\t\t\treturn iv")
+	ret(4)
 	em.w("\t\t\t}")
 	em.w("\t\t}")
 	em.w("\t}")
-	em.w("\treturn iv")
+	ret(1)
 	em.w("}")
 	em.w("")
 	return nil
@@ -423,22 +438,20 @@ func (em *emitter) interiorSliceFn(k int) {
 	}
 	em.w("// sliceTaskNest%d is the monomorphic slice-task entry for the level-%d loop", k, k)
 	em.w("// over %s: it runs whole iterations — hooks, the nested loop's bounds,", lv.stmt.Var)
-	em.w("// and a direct call of sliceTaskNest%d — and spends the runtime's budget _b", c)
-	em.w("// at its latch: an iteration whose nested loop ran nothing costs one")
-	em.w("// unit, and a budget at zero polls with iterations left or, at hi, is")
-	em.w("// returned for the runtime to poll. A nested stop is recorded with")
+	em.w("// and a direct call of sliceTaskNest%d, which spends and returns the", c)
+	em.w("// budget _r — and spends _r at its latch: an iteration whose nested loop")
+	em.w("// ran nothing costs one unit, and a budget at zero polls with iterations")
+	em.w("// left or, at hi, is returned for the runtime to poll. Cancellation is")
+	em.w("// checked wherever a chunk is drawn. A nested stop is recorded with")
 	em.w("// rt.Stop and the in-flight iteration returned for the runtime to")
 	em.w("// finish.")
 	em.w("//")
 	em.w("//hbc:noalloc")
-	em.w("func sliceTaskNest%d(e *Env%s, iv, hi int64, _b *int64, rt hbc.SliceRT) int64 {", k, em.sigVars(k))
+	em.w("func sliceTaskNest%d(e *Env%s, iv, hi int64, _r int64, rt hbc.SliceRT) (int64, int64) {", k, em.sigVars(k))
 	if childAcc {
 		em.w("\t_acc := rt.Acc(%d).(*float64)", c)
 	}
 	em.w("\tfor iv < hi {")
-	em.w("\t\tif rt.Aborted() {")
-	em.w("\t\t\treturn iv")
-	em.w("\t\t}")
 	em.w("\t\t%s := iv", lv.goVar)
 	if len(lv.pre) > 0 {
 		em.w("\t\tpreNest%d(e%s)", k, em.callVars(k+1))
@@ -448,9 +461,10 @@ func (em *emitter) interiorSliceFn(k int) {
 		em.w("\t\t*_acc = 0")
 	}
 	em.w("\t\tif _lo < _hi {")
-	em.w("\t\t\tif _iv := sliceTaskNest%d(e%s, _lo, _hi%s, _b, rt); _iv < _hi {", c, em.callVars(k+1), accArg)
+	em.w("\t\t\tvar _iv int64")
+	em.w("\t\t\tif _iv, _r = sliceTaskNest%d(e%s, _lo, _hi%s, _r, rt); _iv < _hi {", c, em.callVars(k+1), accArg)
 	em.w("\t\t\t\trt.Stop(%d, _lo, _iv, _hi)", c)
-	em.w("\t\t\t\treturn iv")
+	em.w("\t\t\t\treturn iv, _r")
 	em.w("\t\t\t}")
 	em.w("\t\t}")
 	if len(lv.post) > 0 {
@@ -458,22 +472,25 @@ func (em *emitter) interiorSliceFn(k int) {
 	}
 	em.w("\t\tiv++")
 	em.w("\t\tif _lo >= _hi {")
-	em.w("\t\t\tif *_b <= 0 {")
-	em.w("\t\t\t\t*_b = rt.Chunk(hi - iv)")
+	em.w("\t\t\tif _r <= 0 {")
+	em.w("\t\t\t\tif rt.Aborted() {")
+	em.w("\t\t\t\t\treturn iv, _r")
+	em.w("\t\t\t\t}")
+	em.w("\t\t\t\t_r = rt.Chunk(hi - iv)")
 	em.w("\t\t\t}")
-	em.w("\t\t\t*_b--")
+	em.w("\t\t\t_r--")
 	em.w("\t\t}")
-	em.w("\t\tif *_b == 0 {")
+	em.w("\t\tif _r == 0 {")
 	em.w("\t\t\tif iv >= hi {")
-	em.w("\t\t\t\treturn iv")
+	em.w("\t\t\t\treturn iv, _r")
 	em.w("\t\t\t}")
-	em.w("\t\t\t*_b = rt.Chunk(hi - iv)")
-	em.w("\t\t\tif rt.Poll() {")
-	em.w("\t\t\t\treturn iv")
+	em.w("\t\t\t_r = rt.Chunk(hi - iv)")
+	em.w("\t\t\tif rt.Poll() || rt.Aborted() {")
+	em.w("\t\t\t\treturn iv, _r")
 	em.w("\t\t\t}")
 	em.w("\t\t}")
 	em.w("\t}")
-	em.w("\treturn iv")
+	em.w("\treturn iv, _r")
 	em.w("}")
 	em.w("")
 }
@@ -569,7 +586,9 @@ func (em *emitter) nestFn() error {
 			em.w("\t\t\tbodyNest%d(e%s, lo, hi%s)", k, idxArgs(k), accArg)
 			em.w("\t\t},")
 			em.w("\t\tSlice: func(_ any, %s []int64, iv, hi int64, %s any, rt hbc.SliceRT) int64 {", idxParam, accParam)
-			em.w("\t\t\treturn sliceTaskNest%d(e%s, iv, hi%s, rt.Budget(), rt)", k, idxArgs(k), accArg)
+			em.w("\t\t\tb := rt.Budget()")
+			em.w("\t\t\tiv, *b = sliceTaskNest%d(e%s, iv, hi%s, *b, rt)", k, idxArgs(k), accArg)
+			em.w("\t\t\treturn iv")
 			em.w("\t\t},")
 			if reduces {
 				em.w("\t\tReduce: gen.SumFloat64(),")
@@ -577,7 +596,9 @@ func (em *emitter) nestFn() error {
 		} else {
 			em.w("\t\tChildren: []*hbc.Loop{l%d},", k+1)
 			em.w("\t\tSlice: func(_ any, %s []int64, iv, hi int64, _ any, rt hbc.SliceRT) int64 {", idxParam)
-			em.w("\t\t\treturn sliceTaskNest%d(e%s, iv, hi, rt.Budget(), rt)", k, idxArgs(k))
+			em.w("\t\t\tb := rt.Budget()")
+			em.w("\t\t\tiv, *b = sliceTaskNest%d(e%s, iv, hi, *b, rt)", k, idxArgs(k))
+			em.w("\t\t\treturn iv")
 			em.w("\t\t},")
 			if len(lv.pre) > 0 {
 				em.w("\t\tPre: func(_ any, idx []int64, _ any) {")

@@ -13,9 +13,10 @@ import (
 //
 //   - runCtl is a per-invocation control block shared by every task of one
 //     Run: a cancel flag plus the first abort cause. The flag is checked at
-//     the same safepoints as heartbeat polls — leaf chunk boundaries,
-//     interior-latch visits, and promotion entry — so a cancelled run winds
-//     down within one chunk per task, and promotions stop creating new work.
+//     every chunk draw — with the poll at a leaf chunk boundary or an
+//     interior latch, before a draw at a chunk start — and at promotion
+//     entry, so a cancelled run winds down within one chunk per task, and
+//     promotions stop creating new work.
 //
 //   - Panic containment: every task entry point runs under guarded, which
 //     converts a recovered panic into a *PanicError carrying the faulting

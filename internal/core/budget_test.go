@@ -114,15 +114,14 @@ func (d sliceDriver) String() string {
 }
 
 // templateLeafSlice writes the emitted leaf sliceTaskNestK template over a
-// Body.
+// Body: the budget R passed in and returned by value, and the Nest adapter
+// that loads it from rt.Budget and stores it back.
 func templateLeafSlice(body loopnest.Body) loopnest.Slice {
-	return func(env any, idx []int64, iv, hi int64, acc any, rt loopnest.SliceRT) int64 {
-		b := rt.Budget()
+	leaf := func(env any, idx []int64, iv, hi int64, acc any, r int64, rt loopnest.SliceRT) (int64, int64) {
 		for iv < hi {
-			r := *b
 			if r <= 0 {
 				if rt.Aborted() {
-					return iv
+					return iv, r
 				}
 				r = rt.Chunk(hi - iv)
 			}
@@ -130,14 +129,18 @@ func templateLeafSlice(body loopnest.Body) loopnest.Slice {
 			body(env, idx, iv, iv+n, acc)
 			iv += n
 			r -= n
-			*b = r
 			if r == 0 && iv < hi {
-				*b = rt.Chunk(hi - iv)
+				r = rt.Chunk(hi - iv)
 				if rt.Poll() || rt.Aborted() {
-					return iv
+					return iv, r
 				}
 			}
 		}
+		return iv, r
+	}
+	return func(env any, idx []int64, iv, hi int64, acc any, rt loopnest.SliceRT) int64 {
+		b := rt.Budget()
+		iv, *b = leaf(env, idx, iv, hi, acc, *b, rt)
 		return iv
 	}
 }
@@ -147,7 +150,8 @@ func templateLeafSlice(body loopnest.Body) loopnest.Slice {
 // accumulators and slices: per iteration Pre; for each child its bounds,
 // the accumulator reset, a direct call of its slice with rt.Child (recording
 // a stop inside it) and, before the last child, the poll the child owes at
-// its hi; Post; and the latch.
+// its hi; Post; and the latch. Cancellation is checked wherever a chunk
+// is drawn, never per iteration.
 func templateInteriorSlice(l *loopnest.Loop) loopnest.Slice {
 	return func(env any, idx []int64, iv, hi int64, acc any, rt loopnest.SliceRT) int64 {
 		k := len(idx)
@@ -162,9 +166,6 @@ func templateInteriorSlice(l *loopnest.Loop) loopnest.Slice {
 		last := len(l.Children) - 1
 		b := rt.Budget()
 		for iv < hi {
-			if rt.Aborted() {
-				return iv
-			}
 			cidx[k] = iv
 			if l.Pre != nil {
 				l.Pre(env, cidx, acc)
@@ -187,7 +188,7 @@ func templateInteriorSlice(l *loopnest.Loop) loopnest.Slice {
 				}
 				if cb := crts[c].Budget(); c < last && *cb == 0 {
 					*cb = crts[c].Chunk(0)
-					if crts[c].Poll() {
+					if crts[c].Poll() || crts[c].Aborted() {
 						crts[c].Stop(k+1, lo, chi, chi)
 						return iv
 					}
@@ -199,6 +200,9 @@ func templateInteriorSlice(l *loopnest.Loop) loopnest.Slice {
 			iv++
 			if !ran {
 				if *b <= 0 {
+					if rt.Aborted() {
+						return iv
+					}
 					*b = rt.Chunk(hi - iv)
 				}
 				*b--
@@ -208,7 +212,7 @@ func templateInteriorSlice(l *loopnest.Loop) loopnest.Slice {
 					return iv
 				}
 				*b = rt.Chunk(hi - iv)
-				if rt.Poll() {
+				if rt.Poll() || rt.Aborted() {
 					return iv
 				}
 			}

@@ -195,19 +195,15 @@ func (x *Exec) RunCtx(ctx context.Context) (result any, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if done := ctx.Done(); done != nil {
+	if ctx.Done() != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		finished := make(chan struct{})
-		defer close(finished)
-		go func() {
-			select {
-			case <-done:
-				ctl.abort(ctx.Err())
-			case <-finished:
-			}
-		}()
+		// The callback may run after RunCtx returned (stop lost the race):
+		// it then aborts this run's ctl, which no task reads any more, since
+		// every run gets a fresh one.
+		stop := context.AfterFunc(ctx, func() { ctl.abort(ctx.Err()) })
+		defer stop()
 	}
 	err = func() (err error) {
 		defer func() {
@@ -638,7 +634,8 @@ func (c *cloop) leafSlice(env any, idx []int64, iv, hi int64, acc any, srt loopn
 // children's Bounds and slices and the loop's hooks where the emitter
 // inlines them. Only the driver and other built slices call it, always on
 // the task's own index vector, so idx has room for this loop's index; the
-// children's accumulators are the ones tailOf and Post read.
+// children's accumulators are the ones tailOf and Post read. Like the
+// emitted slices, it checks cancellation wherever a chunk is drawn.
 func (c *cloop) interiorSlice(env any, idx []int64, iv, hi int64, acc any, srt loopnest.SliceRT) int64 {
 	rt := srt.(*sliceRT)
 	ts := rt.ts
@@ -648,9 +645,6 @@ func (c *cloop) interiorSlice(env any, idx []int64, iv, hi int64, acc any, srt l
 	last := len(c.children) - 1
 	b := rt.Budget()
 	for iv < hi {
-		if rt.Aborted() {
-			return iv
-		}
 		cidx[lvl] = iv
 		if c.spec.Pre != nil {
 			ts.cur = c
@@ -678,7 +672,7 @@ func (c *cloop) interiorSlice(env any, idx []int64, iv, hi int64, acc any, srt l
 			// chunk owes at its hi is taken here, not at this latch.
 			if cb := crt.Budget(); k < last && *cb == 0 {
 				*cb = crt.Chunk(0)
-				if crt.Poll() {
+				if crt.Poll() || crt.Aborted() {
 					ts.stopAt(ch, lo, chi, chi)
 					return iv
 				}
@@ -691,6 +685,9 @@ func (c *cloop) interiorSlice(env any, idx []int64, iv, hi int64, acc any, srt l
 		iv++
 		if !ran {
 			if *b <= 0 {
+				if rt.Aborted() {
+					return iv
+				}
 				*b = rt.Chunk(hi - iv)
 			}
 			*b--
@@ -700,7 +697,7 @@ func (c *cloop) interiorSlice(env any, idx []int64, iv, hi int64, acc any, srt l
 				return iv
 			}
 			*b = rt.Chunk(hi - iv)
-			if rt.Poll() {
+			if rt.Poll() || rt.Aborted() {
 				return iv
 			}
 		}

@@ -58,7 +58,8 @@ type PostHook func(env any, idx []int64, acc any, children []any)
 type SliceRT interface {
 	// Budget returns the private budget counter R the slice spends from.
 	// The pointer is stable for the call; the slice reads the residue on
-	// entry and keeps the remainder in it, so a partially finished chunk
+	// entry and leaves the remainder in it when it returns (a generated
+	// slice keeps R in a local in between), so a partially finished chunk
 	// carries into the task's next invocation (chunk-size transferring,
 	// paper §3.2). R <= 0 means a chunk must be drawn before spending; R
 	// is zero only when a chunk ran out whose poll is still to be taken.
@@ -73,9 +74,11 @@ type SliceRT interface {
 	// return means a heartbeat arrived: the slice must return its next
 	// unstarted iteration so the runtime can run the promotion handler.
 	Poll() bool
-	// Aborted reports run cancellation. Slices check it where a chunk
-	// starts and at the top of every interior iteration; a chunk carried
-	// into a leaf from the enclosing iteration was checked there.
+	// Aborted reports run cancellation. Slices check it wherever they draw
+	// a chunk: before a draw at a chunk start, and with the poll after a
+	// draw at a leaf's chunk boundary or an interior latch. A chunk carried
+	// into a leaf from the enclosing iteration was checked where it was
+	// drawn, so after an abort a slice spends at most the chunk in flight.
 	Aborted() bool
 	// Child returns the runtime serving child k of the interior loop this
 	// runtime serves. An interior slice hands it to child k's slice. The

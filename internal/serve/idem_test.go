@@ -150,14 +150,26 @@ func TestIdempotencyCopiesCachedValue(t *testing.T) {
 // the queue emptying; draining flips it permanently.
 func TestReadySignal(t *testing.T) {
 	release := make(chan struct{})
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	entered := make(chan struct{}, 1)
 	gate := &hbc.Nest{Name: "gate", Root: &hbc.Loop{
 		Name:   "i",
 		Bounds: func(any, []int64) (int64, int64) { return 0, 1 },
-		Body:   func(_ any, _ []int64, lo, hi int64, _ any) { <-release },
+		Body: func(_ any, _ []int64, lo, hi int64, _ any) {
+			select {
+			case entered <- struct{}{}:
+			default:
+			}
+			<-release
+		},
 	}}
 	p := serve.NewPool(serve.Config{Shards: 1, WorkersPerShard: 1, QueueDepth: 2,
 		DefaultDeadline: 20 * time.Second})
 	defer p.Close()
+	// Deferred after Close, so it runs first: a failure below must not
+	// leave Close draining a gated body forever.
+	defer unblock()
 	if err := p.Register("gate", nestBuild(t, gate)); err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +179,15 @@ func TestReadySignal(t *testing.T) {
 		t.Fatalf("fresh pool not ready: %s", reason)
 	}
 
-	for i := 0; i < 3; i++ { // 1 in-flight + 2 queued = saturation
+	// 1 in-flight + 2 queued = saturation. The in-flight request must
+	// leave the queue before the other two arrive, or the third is shed.
+	go p.Do(context.Background(), serve.Request{Kernel: "gate", Tenant: "t"})
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the first request never started running")
+	}
+	for i := 0; i < 2; i++ {
 		go p.Do(context.Background(), serve.Request{Kernel: "gate", Tenant: "t"})
 	}
 	waitFor(t, func() bool { return p.Stats().QueueDepth == 2 })
@@ -177,7 +197,7 @@ func TestReadySignal(t *testing.T) {
 		t.Fatal("not-ready with empty reason")
 	}
 
-	close(release)
+	unblock()
 	waitFor(t, func() bool { ok, _ := p.Ready(); return ok })
 
 	go p.Drain(context.Background())
