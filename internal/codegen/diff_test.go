@@ -380,6 +380,41 @@ func TestInterpreterAllocsMatchGenerated(t *testing.T) {
 	}
 }
 
+// TestRunAllocsPinned pins the per-run heap cost of core's Exec.Run on
+// every generated kernel at 2 workers under a never-firing source, where
+// nothing is promoted: 7 objects, plus the fresh root accumulator a
+// reducing root returns to its caller. The root task is reused across
+// runs; building it fresh per run cost 7 more.
+func TestRunAllocsPinned(t *testing.T) {
+	const perRun = 7
+	for _, name := range goodKernels {
+		t.Run(name, func(t *testing.T) {
+			gk, ok := gen.Lookup(name)
+			if !ok {
+				t.Fatalf("kernel %q not registered", name)
+			}
+			env := gk.NewEnv()
+			nest := gk.Nest(env)
+			want := float64(perRun)
+			if nest.Root.Reduce != nil {
+				want++
+			}
+			prog, err := core.Compile(nest, core.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			team := sched.NewTeam(2)
+			defer team.Close()
+			x := core.NewExec(prog, team, pulse.NewNever(), time.Millisecond, env)
+			x.Start()
+			defer x.Stop()
+			if n := testing.AllocsPerRun(20, func() { x.Run() }); n > want {
+				t.Errorf("%s: Exec.Run allocates %v objects per run, want at most %v", name, n, want)
+			}
+		})
+	}
+}
+
 // TestRegistryMetadata checks each registered kernel against its source:
 // SHA matches the bytes on disk, and the embedded facts parse to the same
 // record the analyzer builds today.

@@ -20,8 +20,9 @@ import (
 // RunSerial driver, within noise of a hand-written loop — so the
 // interpreted side carries its whole interpretive tax. All three are
 // timed in this process, round-robin, so the ratio is same-machine
-// comparable; the measured drop is about 10x, well outside run-to-run
-// noise.
+// comparable. On spmv the interpreted overhead measured +839 to +867 %
+// against the generated +58 to +67 % (3 runs, 2 vCPUs): a drop of about
+// 13x, well outside run-to-run noise.
 func TestMachineryOverheadDrop(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing gate; skipped under -short")

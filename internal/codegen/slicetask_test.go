@@ -8,6 +8,7 @@ import (
 	"hbc"
 	"hbc/gen"
 	_ "hbc/gen/kernels"
+	"hbc/internal/core"
 )
 
 // staticRT is a SliceRT with a fixed chunk of 64 and no heartbeat or
@@ -27,26 +28,21 @@ func (r *staticRT) Child(int) hbc.SliceRT         { return r }
 func (r *staticRT) Acc(level int) any             { return r.accs[level] }
 func (r *staticRT) Stop(int, int64, int64, int64) {}
 
-// entry is one slice entry of a generated kernel: the loop at a nest
-// level over the outermost iteration of every enclosing loop, with one
-// fresh accumulator per level of the nest. Level 0 is the root's entry
-// (interior on spmv, powersum and escape), and a level past the leaf is
-// clamped to the leaf.
+// entry is one slice entry of a kernel's nest: the loop at a nest level
+// over the outermost iteration of every enclosing loop, with one fresh
+// accumulator per level of the nest. Level 0 is the root's entry (interior
+// on spmv, powersum and escape), and a level past the leaf is clamped to
+// the leaf.
 type entry struct {
-	env    gen.Env
+	env    any
 	l      *hbc.Loop
 	idx    []int64
 	lo, hi int64
 	accs   []any
 }
 
-func newEntry(tb testing.TB, name string, level int, env gen.Env) *entry {
+func newEntry(tb testing.TB, root *hbc.Loop, level int, env any) *entry {
 	tb.Helper()
-	gk, ok := gen.Lookup(name)
-	if !ok {
-		tb.Fatalf("kernel %s not registered", name)
-	}
-	root := gk.Nest(env).Root
 	e := &entry{env: env, l: root, idx: make([]int64, 0, 8)}
 	for c := root; ; c = c.Children[0] {
 		var acc any
@@ -61,17 +57,17 @@ func newEntry(tb testing.TB, name string, level int, env gen.Env) *entry {
 	for !e.l.Leaf() && len(e.idx) < level {
 		lo, hi := e.l.Bounds(env, e.idx)
 		if lo >= hi {
-			tb.Fatalf("%s: empty interior loop %s", name, e.l.Name)
+			tb.Fatalf("empty interior loop %s", e.l.Name)
 		}
 		e.idx = append(e.idx, lo)
 		e.l = e.l.Children[0]
 	}
 	if e.l.Slice == nil {
-		tb.Fatalf("%s: loop %s has no slice task", name, e.l.Name)
+		tb.Fatalf("loop %s has no slice task", e.l.Name)
 	}
 	e.lo, e.hi = e.l.Bounds(env, e.idx)
 	if e.lo >= e.hi {
-		tb.Fatalf("%s: empty loop %s", name, e.l.Name)
+		tb.Fatalf("empty loop %s", e.l.Name)
 	}
 	return e
 }
@@ -86,7 +82,8 @@ func sliceEntry(tb testing.TB, name string, level int) func() {
 	if !ok {
 		tb.Fatalf("kernel %s not registered", name)
 	}
-	e := newEntry(tb, name, level, gk.NewEnv())
+	env := gk.NewEnv()
+	e := newEntry(tb, gk.Nest(env).Root, level, env)
 	rt := &staticRT{accs: e.accs}
 	acc := e.acc()
 	return func() {
@@ -183,9 +180,9 @@ type protoEntry struct {
 	rt *protoRT
 }
 
-func newProtoEntry(t *testing.T, name string, level int, env gen.Env) *protoEntry {
+func newProtoEntry(t *testing.T, nest *hbc.Nest, level int, env any) *protoEntry {
 	t.Helper()
-	e := newEntry(t, name, level, env)
+	e := newEntry(t, nest.Root, level, env)
 	return &protoEntry{e, &protoRT{accs: e.accs, abortAfter: -1, stops: map[int]protoStop{}}}
 }
 
@@ -236,7 +233,7 @@ func (p *protoEntry) finish(t *testing.T, l *hbc.Loop, idx []int64, iv int64, ac
 // units is the budget one pass of l over [lo, hi) at idx spends: one unit
 // per leaf iteration, and one per interior iteration whose nested loop
 // ran nothing.
-func units(env gen.Env, l *hbc.Loop, idx []int64, lo, hi int64) int64 {
+func units(env any, l *hbc.Loop, idx []int64, lo, hi int64) int64 {
 	if l.Leaf() {
 		return hi - lo
 	}
@@ -251,16 +248,16 @@ func units(env gen.Env, l *hbc.Loop, idx []int64, lo, hi int64) int64 {
 }
 
 // reference runs the entry's loop over [lo, end) serially on its
-// environment: the leaf's Body (bodyNestK), or RunSerial for an interior
-// root over its whole range. It returns the live-out, nil without a
-// Reduce.
-func (p *protoEntry) reference(t *testing.T, gk *gen.Kernel, end int64) any {
+// environment: the leaf's Body, or the backend's serial code for an
+// interior root over its whole range. It returns the live-out, nil without
+// a Reduce.
+func (p *protoEntry) reference(t *testing.T, serial func(), end int64) any {
 	t.Helper()
 	if !p.l.Leaf() {
 		if len(p.idx) > 0 || end != p.hi {
 			t.Fatalf("no serial reference for a partial interior pass")
 		}
-		gk.RunSerial(p.env)
+		serial()
 		return nil
 	}
 	var acc any
@@ -279,8 +276,32 @@ func sameLiveOut(t *testing.T, got, want any, label string) {
 	}
 	g, w := *got.(*float64), *want.(*float64)
 	if math.Float64bits(g) != math.Float64bits(w) {
-		t.Fatalf("%s: live-out %v, bodyNestK over the same range %v", label, g, w)
+		t.Fatalf("%s: live-out %v, the serial code over the same range %v", label, g, w)
 	}
+}
+
+// backend builds a registered kernel's nest on one of the two backends: a
+// fresh environment of kernel name, the nest bound to it, and a function
+// running the kernel's serial code over that environment.
+type backend func(t *testing.T, name string) (env envLike, nest *hbc.Nest, serial func())
+
+// generated is the emitted package: its Nest and RunSerial.
+func generated(t *testing.T, name string) (envLike, *hbc.Nest, func()) {
+	gk, _ := gen.Lookup(name)
+	env := gk.NewEnv()
+	return env, gk.Nest(env), func() { gk.RunSerial(env) }
+}
+
+// interpreted is the closure interpreter: a Compiled's Nest over its Env,
+// whose serial code is the elision through the Bounds, Body, Pre and Post
+// hooks.
+func interpreted(t *testing.T, name string) (envLike, *hbc.Nest, func()) {
+	_, c := loadKernel(t, name)
+	prog, err := core.Compile(c.Nest, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c.Env, c.Nest, func() { prog.RunSeq(c.Env) }
 }
 
 // TestSliceProtocol pins the emitted slice-task protocol on every
@@ -296,19 +317,25 @@ func sameLiveOut(t *testing.T, got, want any, label string) {
 //     never later: it polls at most once more, draws only at a chunk
 //     boundary or latch that polls (a draw at a chunk start checks
 //     first), and spends nothing after that draw; a leaf's live-out then
-//     still equals bodyNestK over the iterations it ran.
-func TestSliceProtocol(t *testing.T) {
+//     still equals the serial code over the iterations it ran.
+func TestSliceProtocol(t *testing.T) { sliceProtocol(t, generated) }
+
+// TestSliceProtocolInterpreted pins the same protocol on the closure
+// interpreter's slices, against its own serial elision.
+func TestSliceProtocolInterpreted(t *testing.T) { sliceProtocol(t, interpreted) }
+
+func sliceProtocol(t *testing.T, build backend) {
 	for _, name := range gen.Kernels() {
-		gk, _ := gen.Lookup(name)
 		k, _ := loadKernel(t, name)
 		for _, se := range sliceEntries {
 			label := name + "/" + se.name
-			env, ref := gk.NewEnv(), gk.NewEnv()
+			env, nest, _ := build(t, name)
+			ref, refNest, serial := build(t, name)
 			seedFloats(t, k, 7, env, ref)
-			p := newProtoEntry(t, name, se.level, env)
+			p := newProtoEntry(t, nest, se.level, env)
 			p.rt.beats = true
 			p.drive(t, p.l, p.idx, p.lo, p.hi, p.acc())
-			want := newProtoEntry(t, name, se.level, ref).reference(t, gk, p.hi)
+			want := newProtoEntry(t, refNest, se.level, ref).reference(t, serial, p.hi)
 			sameLiveOut(t, p.acc(), want, label)
 			compareEnvs(t, k, env, ref, 0, label)
 			u := units(env, p.l, p.idx, p.lo, p.hi)
@@ -322,9 +349,10 @@ func TestSliceProtocol(t *testing.T) {
 			mid := p.rt.draws / 2
 			for _, after := range []int{0, 1, 2, 3, mid, mid + 1, mid + 2, mid + 3} {
 				label := fmt.Sprintf("%s/abort-after-%d", label, after)
-				env, ref := gk.NewEnv(), gk.NewEnv()
+				env, nest, _ := build(t, name)
+				ref, refNest, serial := build(t, name)
 				seedFloats(t, k, 7, env, ref)
-				p := newProtoEntry(t, name, se.level, env)
+				p := newProtoEntry(t, nest, se.level, env)
 				p.rt.abortAfter = after
 				iv := p.l.Slice(env, p.idx, p.lo, p.hi, p.acc(), p.rt)
 				if rt := p.rt; rt.latePolls > 1 || rt.lateDraws > rt.latePolls {
@@ -344,7 +372,7 @@ func TestSliceProtocol(t *testing.T) {
 						label, r, protoChunk)
 				}
 				if p.l.Leaf() {
-					sameLiveOut(t, p.acc(), newProtoEntry(t, name, se.level, ref).reference(t, gk, iv), label)
+					sameLiveOut(t, p.acc(), newProtoEntry(t, refNest, se.level, ref).reference(t, serial, iv), label)
 					compareEnvs(t, k, env, ref, 0, label)
 				}
 			}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sync/atomic"
+
+	"hbc/internal/loopnest"
 )
 
 // Failure semantics of the heartbeat runtime.
@@ -43,9 +45,11 @@ type PanicError struct {
 	LoopName string
 	// Indices is a snapshot of the induction variables from the LST context
 	// chain, outermost first, up to and including the faulting loop's. For a
-	// leaf the last entry is the first iteration of the chunk being executed.
-	// A panic in the loop's Bounds stops at the enclosing loop's index: the
-	// invocation being set up has none yet.
+	// leaf the last entry is an iteration of the chunk being executed: the
+	// faulting one when the slice reported a loopnest.Fault, the chunk's
+	// first under a slice built at Compile. A panic in the loop's Bounds
+	// stops at the enclosing loop's index: the invocation being set up has
+	// none yet.
 	Indices []int64
 	// Worker is the ID of the worker the panic occurred on, or -1 when the
 	// panic did not occur on a task (e.g. a bounds call on the submitting
@@ -125,6 +129,15 @@ func (ts *taskRun) containPanic(v any) *PanicError {
 		return pe
 	}
 	pe := &PanicError{Value: v, Worker: ts.w.ID(), Stack: debug.Stack()}
+	if f, ok := v.(*loopnest.Fault); ok {
+		// The slice ts.cur entered ran the faulting loop's code inline.
+		pe.Value = f.Value
+		if l := ts.cur; l != nil {
+			l = l.spendPath(f.Level)
+			pe.Loop, pe.LoopName, pe.Indices = l.id, l.spec.Name, f.Indices
+		}
+		return pe
+	}
 	if l := ts.cur; l != nil {
 		pe.Loop = l.id
 		pe.LoopName = l.spec.Name

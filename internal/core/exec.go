@@ -82,13 +82,15 @@ type Exec struct {
 
 	// trPool and snapPool recycle the per-task execution state of promoted
 	// slice and leftover tasks, so a promotion's task bodies do not pay the
-	// five-slice taskRun allocation (chain, idx, budget, accPool, childAccs)
-	// or the snapshot header on every fork. The root taskRun of a run is
-	// deliberately NOT pooled: its accumulator (chain[0].acc) is returned to
-	// the caller, and recycling it would let a later run clobber a result
-	// the user still holds.
+	// six-slice taskRun allocation (chain, idx, budget, srt, accPool,
+	// childAccs) or the snapshot header on every fork.
 	trPool   sync.Pool
 	snapPool sync.Pool
+	// root is the root task the last run that did not panic left behind,
+	// reused by the next run. Its root accumulator is surrendered to the
+	// caller at the end of each run, so a returned result never aliases a
+	// later run's.
+	root *taskRun
 }
 
 // NewExec prepares a run of prog on team, polling src at the given
@@ -218,7 +220,7 @@ func (x *Exec) RunCtx(ctx context.Context) (result any, err error) {
 			}
 		}()
 		return x.team.Run(func(w *sched.Worker) {
-			ts := newTaskRun(x, w)
+			ts := x.rootTask(w)
 			ts.guarded(func() {
 				root := x.prog.loops[0]
 				ts.setupInvocation(root)
@@ -226,7 +228,9 @@ func (x *Exec) RunCtx(ctx context.Context) (result any, err error) {
 					panic("core: promotion escaped the root loop")
 				}
 				result = ts.chain[0].acc
+				ts.accPool[root.ord] = nil // the caller's now
 			})
+			x.root = ts // not reached on the panic path: the task is dropped
 		})
 	}()
 	if err != nil {
@@ -311,6 +315,24 @@ func newTaskRun(x *Exec, w *sched.Worker) *taskRun {
 	for i, l := range p.loops {
 		ts.srt[i] = sliceRT{ts: ts, l: l}
 	}
+	return ts
+}
+
+// rootTask returns the root task of a run on w: the one the last run left
+// behind, reset as newTaskRun would build it, or a new one. The scratch
+// accumulators below the root stay for accForLoop to reset, as they do
+// between invocations within one task.
+func (x *Exec) rootTask(w *sched.Worker) *taskRun {
+	ts := x.root
+	if ts == nil {
+		return newTaskRun(x, w)
+	}
+	x.root = nil
+	ts.w, ts.ctl, ts.cur, ts.owed = w, x.ctl, nil, false
+	for i := range ts.budget {
+		ts.budget[i] = -1
+	}
+	clear(ts.childAccs)
 	return ts
 }
 

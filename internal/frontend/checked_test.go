@@ -183,3 +183,73 @@ parallel for i = 0 .. 6 {
 		t.Fatalf("Indices = %v, want [4]", pe.Indices)
 	}
 }
+
+// TestCheckedBoundsDeepLeafOverrun overruns a subscript in the body of a
+// depth-2 leaf at its very last iteration: on one worker with no heartbeat,
+// where the root's slice entry runs both loops below it inline, and at 2
+// workers with a heartbeat at every poll, where the fault happens inside a
+// forked slice. Either way the error names the leaf, the exact faulting
+// indices, and a stack holding the guard that panicked.
+func TestCheckedBoundsDeepLeafOverrun(t *testing.T) {
+	src := `kernel deepleaf
+let n = 6
+array out float[n * n * n - 1] = 0.0
+
+parallel for i = 0 .. n {
+  parallel for j = 0 .. n {
+    parallel for k = 0 .. n {
+      out[(i * n + j) * n + k] = 1.0
+    }
+  }
+}
+`
+	k, err := ParseFile("deepleaf.hbk", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		workers int
+		src     func() *pulse.Manual
+		forks   bool
+	}{
+		{"inline", 1, pulse.NewNever, false},
+		{"forked", 2, pulse.NewAlways, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := CompileWith(k, Options{CheckBounds: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := core.Compile(c.Nest, core.Options{StaticChunk: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			team := sched.NewTeam(tc.workers)
+			defer team.Close()
+			x := core.NewExec(p, team, tc.src(), core.DefaultHeartbeat, c.Env)
+			x.Start()
+			defer x.Stop()
+			_, err = x.RunCtx(context.Background())
+			var pe *core.PanicError
+			if !errors.As(err, &pe) {
+				t.Fatalf("overrun run: err = %v, want *core.PanicError", err)
+			}
+			if msg := pe.Error(); !strings.Contains(msg, "out[215] out of range [0, 215)") || !strings.Contains(msg, "deepleaf.hbk:8") {
+				t.Fatalf("guard diagnostic = %q, want array/index/extent and source position", msg)
+			}
+			if pe.Loop != (core.LoopID{Level: 2, Index: 0}) || pe.LoopName != "k" {
+				t.Fatalf("fault attributed to loop %v %q, want (2,0) \"k\"", pe.Loop, pe.LoopName)
+			}
+			if len(pe.Indices) != 3 || pe.Indices[0] != 5 || pe.Indices[1] != 5 || pe.Indices[2] != 5 {
+				t.Fatalf("Indices = %v, want [5 5 5]", pe.Indices)
+			}
+			if !strings.Contains(string(pe.Stack), "guardIdx") {
+				t.Fatalf("Stack does not hold the faulting guard:\n%s", pe.Stack)
+			}
+			if forked := x.Stats().TasksForked() > 0; forked != tc.forks {
+				t.Fatalf("slices forked: %v, want %v", forked, tc.forks)
+			}
+		})
+	}
+}

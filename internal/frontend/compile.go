@@ -13,9 +13,10 @@ import (
 //
 // Nest is bound to Env, as a generated kernel's Nest(env) is: its closures
 // captured Env's arrays at Compile and ignore the env argument the runtime
-// passes them, so run Nest over Env only. Its closures may run concurrently
-// on any number of workers; each call takes a frame of its own from a pool
-// shared by the Compiled's closures.
+// passes them, so run Nest over Env only. Every loop of Nest has its own
+// Slice, as a generated kernel's loops do. Its closures may run
+// concurrently on any number of workers; each slice entry or hook call
+// takes a frame of its own from a pool shared by the Compiled's closures.
 type Compiled struct {
 	Kernel *Kernel
 	Nest   *loopnest.Nest
@@ -106,19 +107,27 @@ func (e *Env) Reset() {
 
 // frame is the runtime evaluation context of compiled statements: loop
 // variable slots (parallel and serial) and the innermost visible
-// accumulator.
+// accumulator. level and setup record, for panic attribution, whose code a
+// slice entry is running: the code of the loop at level, or its bounds when
+// setup is set.
 type frame struct {
 	vars  []int64
 	fvars []float64
 	acc   *float64
+	level int
+	setup bool
 }
 
-// framePool hands every hook call (Bounds, Body, Pre, Post) a frame that
-// call owns alone, so concurrent calls on different workers never share
-// one. Its slot counts are set once Compile has seen every local.
+// framePool hands every hook call (Bounds, Body, Pre, Post) and every slice
+// entry a frame that call owns alone, so concurrent calls on different
+// workers never share one. A slice entry holds its frame for every row it
+// runs, its descendants' included. Its slot counts are set once Compile has
+// seen every local.
 type framePool struct {
 	nVars, nFVars int
-	pool          sync.Pool
+	// levelSlots[k] is the slot of the level-k parallel loop variable.
+	levelSlots []int
+	pool       sync.Pool
 }
 
 // get returns a frame for one call, with the loop variables idx in their
@@ -143,6 +152,46 @@ func (p *framePool) put(fr *frame) {
 	clear(fr.fvars)
 	fr.acc = nil
 	p.pool.Put(fr)
+}
+
+// sliceFn is a loop's slice task over a frame that holds the enclosing
+// indices and the visible accumulator: it runs iterations [iv, hi),
+// spending the budget r it is passed, and returns the next unstarted
+// iteration and the budget left — the shape of the emitted sliceTaskNestK.
+type sliceFn func(fr *frame, iv, hi, r int64, rt loopnest.SliceRT) (int64, int64)
+
+// entry makes the Slice of the loop at level from its frame-level run: one
+// frame per entry, filled from idx and acc, with R read from rt once and
+// written back on return.
+func (p *framePool) entry(run sliceFn, slots []int, level int) loopnest.Slice {
+	return func(_ any, idx []int64, iv, hi int64, acc any, rt loopnest.SliceRT) int64 {
+		fr := p.get(slots, idx, acc)
+		fr.level, fr.setup = level, false
+		defer p.fault(fr)
+		b := rt.Budget()
+		iv, *b = run(fr, iv, hi, *b, rt)
+		p.put(fr)
+		return iv
+	}
+}
+
+// fault, deferred by a slice entry, re-raises a panic in the entry's rows
+// as a *loopnest.Fault naming the level whose code was running, with the
+// frame's loop indices up to it.
+func (p *framePool) fault(fr *frame) {
+	v := recover()
+	if v == nil {
+		return
+	}
+	n := fr.level + 1
+	if fr.setup {
+		n--
+	}
+	idx := make([]int64, n)
+	for lv := range idx {
+		idx[lv] = fr.vars[p.levelSlots[lv]]
+	}
+	panic(&loopnest.Fault{Level: fr.level, Indices: idx, Value: v})
 }
 
 // compile-time symbol information.
@@ -218,7 +267,7 @@ func CompileWith(k *Kernel, opts Options) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	nest := &loopnest.Nest{Name: k.Name, Root: root}
+	nest := &loopnest.Nest{Name: k.Name, Root: root.loop}
 	if err := nest.Validate(); err != nil {
 		return nil, err
 	}
@@ -403,8 +452,24 @@ func (c *compiler) declareMatrix(x *MatrixDecl) error {
 
 // --- loop lowering ------------------------------------------------------------
 
-// loop lowers a parallel for into a loopnest.Loop.
-func (c *compiler) loop(l *LoopStmt) (*loopnest.Loop, error) {
+// lowered is a parallel for lowered to a loopnest.Loop, plus the
+// frame-level pieces its parent's slice runs inline: the loop's bounds and
+// its slice over the parent's frame.
+type lowered struct {
+	loop   *loopnest.Loop
+	lo, hi intFn
+	run    sliceFn
+}
+
+// loop lowers a parallel for into a loopnest.Loop whose Slice runs the
+// whole subtree on one frame per entry: a leaf runs its body statements in
+// chunks of R, polling at chunk boundaries; an interior loop runs whole
+// rows inline — pre statements, the child's bounds, a direct call of the
+// child's frame-level slice, post statements — and spends R at its latch,
+// as the emitted sliceTaskNestK do. The Bounds, Body, Pre and Post hooks
+// serve the serial elision and the runtime's finishing of a stopped
+// iteration.
+func (c *compiler) loop(l *LoopStmt) (*lowered, error) {
 	level := len(c.levelSlots)
 	slot := c.newVar(l.Var, l.Line)
 	if slot < 0 {
@@ -488,18 +553,46 @@ func (c *compiler) loop(l *LoopStmt) (*loopnest.Loop, error) {
 		if err != nil {
 			return nil, err
 		}
-		out.Body = func(_ any, idx []int64, blo, bhi int64, acc any) {
-			fr := frames.get(outerSlots, idx, acc)
-			for v := blo; v < bhi; v++ {
+		// Every parallel loop variable is in scope here, so the leaf's
+		// slots are all the levels' slots.
+		frames.levelSlots = ownSlots
+		rows := func(fr *frame, lo, hi int64) {
+			for v := lo; v < hi; v++ {
 				fr.vars[slot] = v
 				runStmts(body, fr)
 			}
+		}
+		out.Body = func(_ any, idx []int64, blo, bhi int64, acc any) {
+			fr := frames.get(outerSlots, idx, acc)
+			rows(fr, blo, bhi)
 			frames.put(fr)
 		}
+		run := func(fr *frame, iv, hi, r int64, rt loopnest.SliceRT) (int64, int64) {
+			for iv < hi {
+				if r <= 0 {
+					if rt.Aborted() {
+						return iv, r
+					}
+					r = rt.Chunk(hi - iv)
+				}
+				n := min(r, hi-iv)
+				rows(fr, iv, iv+n)
+				iv += n
+				r -= n
+				if r == 0 && iv < hi {
+					r = rt.Chunk(hi - iv)
+					if rt.Poll() || rt.Aborted() {
+						return iv, r
+					}
+				}
+			}
+			return iv, r
+		}
+		out.Slice = frames.entry(run, outerSlots, level)
 		if l.Reduce != "" {
 			out.Reduce = loopnest.SumFloat64()
 		}
-		return out, nil
+		return &lowered{loop: out, lo: lo, hi: hi, run: run}, nil
 	}
 
 	// Interior loop.
@@ -528,7 +621,7 @@ func (c *compiler) loop(l *LoopStmt) (*loopnest.Loop, error) {
 		defer delete(c.syms, sumName)
 	}
 
-	childLoop, err := c.loop(child)
+	kid, err := c.loop(child)
 	if err != nil {
 		return nil, err
 	}
@@ -544,7 +637,7 @@ func (c *compiler) loop(l *LoopStmt) (*loopnest.Loop, error) {
 			frames.put(fr)
 		}
 	}
-	out.Children = []*loopnest.Loop{childLoop}
+	out.Children = []*loopnest.Loop{kid.loop}
 	if len(postProg) > 0 {
 		out.Post = func(_ any, idx []int64, _ any, children []any) {
 			fr := frames.get(ownSlots, idx, children[0])
@@ -552,7 +645,56 @@ func (c *compiler) loop(l *LoopStmt) (*loopnest.Loop, error) {
 			frames.put(fr)
 		}
 	}
-	return out, nil
+	// Only a leaf reduces, into a sum its parent declares, so the child's
+	// accumulator is the one accumulator the rows below see: the frame
+	// holds it for the whole entry, and pre statements cannot name it.
+	reduces := sumName != ""
+	run := func(fr *frame, iv, hi, r int64, rt loopnest.SliceRT) (int64, int64) {
+		if reduces {
+			fr.acc = rt.Acc(level + 1).(*float64)
+		}
+		for iv < hi {
+			fr.vars[slot] = iv
+			runStmts(preProg, fr)
+			fr.level, fr.setup = level+1, true
+			clo, chi := kid.lo(fr), kid.hi(fr)
+			fr.setup = false
+			if reduces {
+				*fr.acc = 0
+			}
+			if clo < chi {
+				var civ int64
+				if civ, r = kid.run(fr, clo, chi, r, rt); civ < chi {
+					rt.Stop(level+1, clo, civ, chi)
+					return iv, r
+				}
+			}
+			fr.level = level
+			runStmts(postProg, fr)
+			iv++
+			if clo >= chi {
+				if r <= 0 {
+					if rt.Aborted() {
+						return iv, r
+					}
+					r = rt.Chunk(hi - iv)
+				}
+				r--
+			}
+			if r == 0 {
+				if iv >= hi {
+					return iv, r
+				}
+				r = rt.Chunk(hi - iv)
+				if rt.Poll() || rt.Aborted() {
+					return iv, r
+				}
+			}
+		}
+		return iv, r
+	}
+	out.Slice = frames.entry(run, outerSlots, level)
+	return &lowered{loop: out, lo: lo, hi: hi, run: run}, nil
 }
 
 // newVar allocates a frame slot for a loop variable. Parallel loop

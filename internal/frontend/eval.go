@@ -7,8 +7,9 @@ import "fmt"
 // else is resolved at Compile: a subscript closure captures its array (and,
 // in checked mode, the array's length), scalars fold to constants, and
 // locals and loop variables are frame slots. A frame is the private scratch
-// of one hook call, taken from its Compiled's pool and returned when the
-// call ends (see framePool).
+// of one slice entry or hook call, taken from its Compiled's pool and
+// returned when the call ends (see framePool): a slice entry runs every row
+// of its loop and of the loops below it on that one frame.
 
 type intFn func(*frame) int64
 type floatFn func(*frame) float64

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hbc/internal/core"
+	"hbc/internal/loopnest"
 	"hbc/internal/pulse"
 	"hbc/internal/sched"
 )
@@ -371,9 +372,25 @@ parallel for i = 0 .. n {
 }
 `
 
-// TestHooksAllocFree calls every hook of a compiled nest directly, in the
-// default and the checked build, and requires that a call allocates
-// nothing: arrays are bound at Compile and frames come from the pool.
+// chunkRT is a SliceRT with a fixed chunk of 3 and no heartbeat or
+// cancellation, serving the accumulator acc at every level.
+type chunkRT struct {
+	budget int64
+	acc    *float64
+}
+
+func (r *chunkRT) Budget() *int64                { return &r.budget }
+func (r *chunkRT) Chunk(int64) int64             { return 3 }
+func (r *chunkRT) Poll() bool                    { return false }
+func (r *chunkRT) Aborted() bool                 { return false }
+func (r *chunkRT) Child(int) loopnest.SliceRT    { return r }
+func (r *chunkRT) Acc(int) any                   { return r.acc }
+func (r *chunkRT) Stop(int, int64, int64, int64) {}
+
+// TestHooksAllocFree calls every hook and slice entry of a compiled nest
+// directly, in the default and the checked build, and requires that a call
+// allocates nothing: arrays are bound at Compile and frames come from the
+// pool.
 func TestHooksAllocFree(t *testing.T) {
 	k, err := Parse(hooksSrc)
 	if err != nil {
@@ -392,12 +409,24 @@ func TestHooksAllocFree(t *testing.T) {
 		idx := []int64{3}
 		s := new(float64)
 		children := []any{s}
+		rt := &chunkRT{acc: s}
+		var acc any = s
 		hooks := map[string]func(){
 			"root.Bounds":  func() { root.Bounds(c.Env, nil) },
 			"root.Pre":     func() { root.Pre(c.Env, idx, nil) },
 			"root.Post":    func() { root.Post(c.Env, idx, nil, children) },
 			"child.Bounds": func() { child.Bounds(c.Env, idx) },
 			"child.Body":   func() { child.Body(c.Env, idx, 0, 4, s) },
+			"root.Slice": func() {
+				for iv := int64(0); iv < 8; {
+					iv = root.Slice(c.Env, nil, iv, 8, nil, rt)
+				}
+			},
+			"child.Slice": func() {
+				for iv := int64(0); iv < 4; {
+					iv = child.Slice(c.Env, idx, iv, 4, acc, rt)
+				}
+			},
 		}
 		for name, call := range hooks {
 			if n := testing.AllocsPerRun(100, call); n != 0 {

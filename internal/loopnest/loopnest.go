@@ -137,6 +137,23 @@ type SliceRT interface {
 // iteration use them.
 type Slice func(env any, idx []int64, iv, hi int64, acc any, rt SliceRT) int64
 
+// Fault is the panic value of a Slice that runs the code of loops below
+// its own inline and recovered a panic there: it names the loop whose code
+// panicked, so the runtime attributes the fault to that loop and not to
+// the one whose slice it entered. A slice without it is attributed to the
+// loop whose slice panicked.
+type Fault struct {
+	// Level is the nest level of the faulting loop, on the spend path of
+	// the loop whose slice recovered it.
+	Level int
+	// Indices are the induction variables in flight, outermost first, up
+	// to the faulting loop's own, or up to the enclosing loop's when the
+	// panic came from the faulting loop's bounds.
+	Indices []int64
+	// Value is the recovered panic value.
+	Value any
+}
+
 // Reduction declares that a loop combines values across its iterations.
 // Heartbeat promotions may split the loop's range across tasks; each task
 // then accumulates into a private accumulator and the runtime merges them at
